@@ -39,6 +39,7 @@ from repro.runtime.trace import (
     _available_cpus,
     _effective_workers,
 )
+from repro.verify.differential import plant_legacy_json
 
 # The longest library flight (1900 frames): the only scenario whose
 # model-frame volume clears the serial-fallback threshold for w=2 at full
@@ -84,7 +85,7 @@ def test_trace_build_benchmark(ctx, report, best_of, tmp_path_factory):
         lambda: ScenarioTrace.build(scenario, zoo, max_workers=workers)
     )
 
-    # Both store formats.  The ``reload`` row times bare ``store.load``
+    # Both entry formats.  The ``reload`` row times bare ``store.load``
     # (what every store hit pays: identity validation, which the binary
     # format answers from a 4 KiB header probe without decoding columns);
     # the ``materialized`` row adds first ``.outcomes`` access, so the
@@ -97,8 +98,10 @@ def test_trace_build_benchmark(ctx, report, best_of, tmp_path_factory):
         _ = trace.outcomes
         return trace
 
-    json_store = TraceStore(tmp_path_factory.mktemp("traces-json"), write_format="json")
-    json_store.save(serial, zoo)
+    # A legacy JSON entry, planted after the store opened so migrate-on-open
+    # leaves it in place and every load takes the JSON fallback.
+    json_store = TraceStore(tmp_path_factory.mktemp("traces-json"))
+    plant_legacy_json(json_store, serial, zoo)
 
     reload_s, reloaded = best_of(lambda: store.load(scenario, zoo))
     materialized_s, materialized = best_of(reload_materialized)

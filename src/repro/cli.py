@@ -585,7 +585,7 @@ def _cmd_queue(args: argparse.Namespace) -> int:
 
 
 def _cmd_store(args: argparse.Namespace) -> int:
-    """Self-healing store maintenance: scrub / gc / repair over any root.
+    """Self-healing store maintenance: scrub / gc / repair / migrate over any root.
 
     Targets come from the global ``--trace-store`` / ``--run-store``
     options plus ``--queue``; each named root is maintained in turn.
@@ -593,21 +593,20 @@ def _cmd_store(args: argparse.Namespace) -> int:
     reclaim (quarantined entries, stale temps, dead job records past the
     TTL) and deletes only under ``--apply``.  ``scrub`` exits non-zero
     when it had to quarantine something, so a cron'd scrub doubles as an
-    integrity alarm; ``repair`` and ``gc`` exit zero on success.
+    integrity alarm; ``repair``, ``gc`` and ``migrate`` (re-encode legacy
+    JSON entries as binary) exit zero on success.
     """
     from .runtime import iolayer
     from .runtime.runstore import RunStore
     from .runtime.store import TraceStore
 
-    # `migrate` opens the stores with an explicit write format, which is
-    # what triggers the on-open re-encode; the other actions use the
-    # session default (REPRO_STORE_FORMAT or binary).
-    write_format = args.format if args.action == "migrate" else None
+    # Opening a store re-encodes its legacy JSON entries as binary, so
+    # `migrate` only has to open the stores and report the count.
     targets: list[tuple[str, object]] = []
     if args.trace_store:
-        targets.append(("traces", TraceStore(args.trace_store, write_format=write_format)))
+        targets.append(("traces", TraceStore(args.trace_store)))
     if args.run_store:
-        targets.append(("runs", RunStore(args.run_store, write_format=write_format)))
+        targets.append(("runs", RunStore(args.run_store)))
     if args.queue:
         from .service import JobQueue
 
@@ -631,9 +630,8 @@ def _cmd_store(args: argparse.Namespace) -> int:
             if migrated is None:
                 print(f"{label}: job queues have a single format; nothing to migrate")
             else:
-                print(f"{label}: {migrated} entries re-encoded as "
-                      f"{store.write_format} on open "
-                      f"({len(store)} entries total)")
+                print(f"{label}: {migrated} legacy JSON entries re-encoded as "
+                      f"binary on open ({len(store)} entries total)")
         elif args.action == "gc":
             report = store.gc(ttl_seconds=args.ttl, dry_run=not args.apply)
             print(f"{label}: {report.summary()}")
@@ -878,12 +876,8 @@ def build_parser() -> argparse.ArgumentParser:
     store_cmd.add_argument("action", choices=("scrub", "gc", "repair", "migrate"),
                            help="scrub: re-verify + quarantine; gc: reclaim expired "
                                 "artifacts (dry-run unless --apply); repair: heal "
-                                "index<->disk drift; migrate: re-encode entries in "
-                                "the --format on-disk format")
-    store_cmd.add_argument("--format", choices=("binary", "json"), default="binary",
-                           help="migrate: target write format (binary re-encodes JSON "
-                                "entries on open; json only switches future writes — "
-                                "binary entries stay readable either way)")
+                                "index<->disk drift; migrate: re-encode legacy JSON "
+                                "entries as binary")
     store_cmd.add_argument("--queue", default=None, metavar="DIR",
                            help="also maintain this job queue directory")
     from .runtime.maintenance import DEFAULT_TTL_SECONDS as _DEFAULT_TTL

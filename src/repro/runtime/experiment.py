@@ -31,12 +31,12 @@ from collections.abc import Callable, Sequence
 from ..data.generator import render_scenario, scenario_scenes
 from ..data.scenario import Scenario
 from ..models.zoo import ModelZoo, default_zoo
-from ..sim.soc import SoC, xavier_nx_with_oakd
+from ..sim.soc import SoC
 from .metrics import RunMetrics, aggregate
 from ..core.policy import Policy
 from ..core.records import RunResult
 from .runner import run_policy
-from .runstore import RunKey, RunStore
+from .runstore import RunKey, RunStore, fingerprint_soc, make_run_key
 from .store import TraceStore
 from .trace import (
     ScenarioTrace,
@@ -47,14 +47,6 @@ from .trace import (
 )
 
 SocLike = SoC | Callable[[], SoC] | None
-
-
-def _policy_fingerprint(policy: Policy) -> str | None:
-    """A policy's run-store identity, or None when it defines none."""
-    try:
-        return policy.fingerprint()
-    except NotImplementedError:
-        return None
 
 
 # Per-worker-process trace memo: a worker that runs several (policy,
@@ -91,19 +83,11 @@ def _run_pair_in_worker(
     soc = soc_factory() if soc_factory is not None else None
     result = run_policy(policy, trace, soc=soc, engine_seed=engine_seed, fast=fast)
     if run_store_root is not None and soc_fingerprint is not None:
-        fingerprint = _policy_fingerprint(policy)
-        if fingerprint is not None:
-            RunStore(run_store_root).save(
-                result,
-                RunKey(
-                    policy_name=policy.name,
-                    policy_fingerprint=fingerprint,
-                    scenario_fingerprint=scenario.fingerprint(),
-                    zoo_fingerprint=zoo.fingerprint(),
-                    soc_fingerprint=soc_fingerprint,
-                    engine_seed=engine_seed,
-                ),
-            )
+        run_key = make_run_key(
+            policy, scenario.fingerprint(), zoo, soc_fingerprint, engine_seed
+        )
+        if run_key is not None:
+            RunStore(run_store_root).save(result, run_key)
     return aggregate(result)
 
 
@@ -154,7 +138,6 @@ class ExperimentRunner:
         self.fast = fast
         self.run_store_hits = 0
         self.runs_executed = 0
-        self._soc_fp: str | None = None
 
     @property
     def zoo(self) -> ModelZoo:
@@ -243,38 +226,6 @@ class ExperimentRunner:
 
     # ---------------------------------------------------------- run store
 
-    def _soc_fingerprint(self) -> str:
-        """The platform fingerprint runs are keyed by (computed once).
-
-        A SoC factory is assumed to be deterministic in *configuration*
-        (every call builds an equally shaped platform) — the factory
-        contract parallel runs already rely on.
-        """
-        if self._soc_fp is None:
-            if callable(self.soc):
-                self._soc_fp = self.soc().fingerprint()
-            elif self.soc is not None:
-                self._soc_fp = self.soc.fingerprint()
-            else:
-                self._soc_fp = xavier_nx_with_oakd().fingerprint()
-        return self._soc_fp
-
-    def _run_key(self, policy: Policy, scenario: Scenario) -> RunKey | None:
-        """The run-store key for one (policy, scenario) pair, if cacheable."""
-        if self.run_store is None:
-            return None
-        fingerprint = _policy_fingerprint(policy)
-        if fingerprint is None:
-            return None  # policies without an identity are never cached
-        return RunKey(
-            policy_name=policy.name,
-            policy_fingerprint=fingerprint,
-            scenario_fingerprint=scenario.fingerprint(),
-            zoo_fingerprint=self.zoo.fingerprint(),
-            soc_fingerprint=self._soc_fingerprint(),
-            engine_seed=self.engine_seed,
-        )
-
     def _execute(self, policy: Policy, scenario: Scenario, key: RunKey | None) -> RunResult:
         """Run a (guaranteed) store miss and persist the result."""
         result = run_policy(
@@ -298,9 +249,13 @@ class ExperimentRunner:
         same (policy, trace, SoC, seed) key is returned without executing
         anything.
         """
-        key = self._run_key(policy, scenario)
-        if key is not None and self.run_store is not None:
-            cached = self.run_store.load(key)
+        key = None
+        if self.run_store is not None:
+            key = make_run_key(
+                policy, scenario.fingerprint(), self.zoo, fingerprint_soc(self.soc),
+                self.engine_seed,
+            )
+            cached = self.run_store.load(key) if key is not None else None
             if cached is not None:
                 self.run_store_hits += 1
                 return cached
@@ -344,8 +299,13 @@ class ExperimentRunner:
         pairs = [(policy, scenario) for policy in policies for scenario in scenarios]
         resolved: dict[int, RunMetrics] = {}
         misses: list[tuple[int, RunKey | None]] = []
+        soc_fp = fingerprint_soc(self.soc) if self.run_store is not None else None
         for index, (policy, scenario) in enumerate(pairs):
-            key = self._run_key(policy, scenario)
+            key = None
+            if soc_fp is not None:
+                key = make_run_key(
+                    policy, scenario.fingerprint(), self.zoo, soc_fp, self.engine_seed
+                )
             cached = (
                 self.run_store.load_metrics(key)
                 if key is not None and self.run_store is not None
@@ -372,7 +332,6 @@ class ExperimentRunner:
                 run_store_root = (
                     str(self.run_store.root) if self.run_store is not None else None
                 )
-                soc_fp = self._soc_fingerprint() if self.run_store is not None else None
                 with ProcessPoolExecutor(max_workers=workers) as pool:
                     futures = {
                         index: pool.submit(

@@ -488,7 +488,9 @@ def _read_once(path: Path, *, binary: bool, count: int | None, use_mmap: bool):
                 # mmap unavailable (odd filesystem): fall back to a copy.
                 handle.seek(0)
                 return handle.read()
-        return handle.read() if count is None else handle.read(count)
+        if count is None:
+            return handle.read()
+        return handle.read(count), os.fstat(handle.fileno()).st_size
 
 
 def _read_with_retry(
@@ -549,8 +551,10 @@ def read_bytes(
 ):
     """Binary entry read through the seam.
 
-    ``count`` reads only the first N bytes (how :func:`repro.runtime.colfmt`
-    probes a column file's JSON header without touching its payload);
+    ``count`` reads only the first N bytes and returns ``(prefix,
+    file_size)``, the size from an ``fstat`` of the same descriptor — how
+    :func:`repro.runtime.colfmt` probes a column file's JSON header and
+    checks that the rest of the file is all there without reading it;
     ``map=True`` returns a read-only ``mmap`` of the whole file so column
     ndarrays can be built zero-copy (falling back to a plain ``bytes``
     read where mapping is unsupported).

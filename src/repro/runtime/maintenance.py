@@ -42,7 +42,7 @@ from collections.abc import Callable
 from . import colfmt, iolayer, shards
 
 #: Default age before quarantine/temp/dead-letter artifacts are collected.
-DEFAULT_TTL_SECONDS = 7 * 24 * 3600.0
+DEFAULT_TTL_SECONDS = shards.DEFAULT_TTL_SECONDS
 
 
 @dataclass

@@ -5,9 +5,10 @@ the suite's dominant cost became the run tier itself — every table,
 figure, sensitivity point, and fuzz sweep replays ``run_policy`` from
 scratch, and nothing remembers a finished run across processes.  This
 module is the run tier's analogue of :class:`~repro.runtime.store.TraceStore`:
-schema-validated entries (binary columnar by default, JSON as the fully
-supported fallback format — see :mod:`repro.runtime.colfmt`),
-content-addressed, atomic writes.
+schema-validated, content-addressed entries in the binary columnar format
+(:mod:`repro.runtime.colfmt`), written atomically.  Legacy ``.json``
+entries stay readable and are re-encoded as binary when a store opens;
+the shared on-disk lifecycle is :class:`repro.runtime.shards.ShardedEntryStore`.
 
 **Cache key.**  A run's frame records are a pure function of four inputs,
 so a persisted run is keyed by the tuple of their content fingerprints
@@ -38,22 +39,25 @@ that only need metrics (tables, figures, fuzz drivers) hit
 :meth:`RunStore.load_metrics`, which skips rebuilding
 :class:`~repro.runtime.records.FrameRecord` objects entirely — that is
 what makes a warm sweep as cheap as a trace reload.  Floats survive the
-JSON round-trip exactly (shortest-round-trip repr), so a warm sweep is
-bit-identical to a cold one.
+round-trip exactly (float64 columns; shortest-round-trip repr in the
+header), so a warm sweep is bit-identical to a cold one.  Keys are
+derived in one place, :func:`make_run_key`, by every tier that reads or
+writes runs.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
+from collections.abc import Callable
 from dataclasses import dataclass
 from pathlib import Path
 
-from ..util import jsonsafe
+from ..models.zoo import ModelZoo
+from ..sim.soc import SoC, xavier_nx_with_oakd
 from ..vision.bbox import BoundingBox
-from . import colfmt, iolayer, maintenance, shards
+from . import colfmt, iolayer, shards
 from .metrics import RunMetrics, aggregate
-from .store import STORE_FORMATS, resolve_write_format
+from ..core.policy import Policy
 from ..core.records import FrameRecord, RunResult
 
 SCHEMA_VERSION = 1
@@ -106,6 +110,48 @@ class RunKey:
                 )
             ).encode("utf-8")
         ).hexdigest()
+
+
+def fingerprint_soc(soc: SoC | Callable[[], SoC] | None = None) -> str:
+    """The platform fingerprint runs are keyed by.
+
+    ``soc`` is a platform instance, a zero-argument factory (one sample
+    stands for every platform it builds: factories are deterministic in
+    *configuration*, the contract parallel runs already rely on), or None
+    for the default Xavier NX + OAK-D.
+    """
+    if soc is None:
+        soc = xavier_nx_with_oakd()
+    elif callable(soc):
+        soc = soc()
+    return soc.fingerprint()
+
+
+def make_run_key(
+    policy: Policy,
+    scenario_fingerprint: str,
+    zoo: ModelZoo,
+    soc_fingerprint: str,
+    engine_seed: int,
+) -> RunKey | None:
+    """The run-store key of one policy run, or None when the policy has no identity.
+
+    Policies whose :meth:`~repro.core.policy.Policy.fingerprint` raises
+    ``NotImplementedError`` are never cached: nothing could tell two of
+    their configurations apart.
+    """
+    try:
+        policy_fingerprint = policy.fingerprint()
+    except NotImplementedError:
+        return None
+    return RunKey(
+        policy_name=policy.name,
+        policy_fingerprint=policy_fingerprint,
+        scenario_fingerprint=scenario_fingerprint,
+        zoo_fingerprint=zoo.fingerprint(),
+        soc_fingerprint=soc_fingerprint,
+        engine_seed=engine_seed,
+    )
 
 
 def _record_row(record: FrameRecord) -> list:
@@ -243,14 +289,13 @@ def metrics_from_dict(payload: dict, key: RunKey) -> RunMetrics:
         raise RunSchemaError(f"malformed run metrics: {exc}") from exc
 
 
-def _run_file_name(digest: str, fmt: str = "binary") -> str:
-    """The entry file name for one run-key digest in the given format.
+def _run_entry_stem(digest: str) -> str:
+    """The entry file name, minus its format suffix, for one run-key digest.
 
     The algorithm version is part of the name, so bumping it orphans
     stale files (treated as misses) rather than erroring on them.
     """
-    suffix = colfmt.COL_SUFFIX if fmt == "binary" else ".json"
-    return f"run-v{RUN_ALGORITHM_VERSION}-{digest[:32]}{suffix}"
+    return f"run-v{RUN_ALGORITHM_VERSION}-{digest[:32]}"
 
 
 def _index_meta(payload: dict) -> dict:
@@ -263,308 +308,6 @@ def _index_meta(payload: dict) -> dict:
         "engine_seed": payload.get("engine_seed"),
         "algorithm_version": payload.get("algorithm_version"),
     }
-
-
-class RunStore:
-    """A sharded directory of persisted policy runs, content-addressed by run key.
-
-    Mirrors :class:`~repro.runtime.store.TraceStore`: entries shard by
-    run-key-digest prefix under ``root/<2-hex>/``, each shard carries an
-    index, and all writes are atomic (temp + ``os.replace``) under the
-    shard's advisory lock (:mod:`repro.runtime.shards`) — so service
-    worker threads, parallel sweep workers, and whole separate processes
-    can race on the same keys and only ever leave complete files behind.
-    Loads re-validate the full identity block.  An entry that cannot even
-    be parsed is the same as a missing one — a miss, counted in
-    :attr:`corrupt_entries` and removed; a parseable entry that does not
-    match its key is a loud :class:`RunSchemaError`.  Never a silently
-    wrong run.
-    """
-
-    #: Globs matching this store's entry files, both formats.
-    ENTRY_PATTERNS = ("run-*.json", "run-*.col")
-
-    def __init__(self, root: str | Path, *, write_format: str | None = None) -> None:
-        self.root = Path(root)
-        if self.root.exists() and not self.root.is_dir():
-            raise NotADirectoryError(f"run store path {self.root} exists and is not a directory")
-        self.root.mkdir(parents=True, exist_ok=True)
-        #: Format new saves are written in ("binary" | "json"); both
-        #: formats are always *read*.
-        self.write_format = resolve_write_format(write_format)
-        #: Unreadable entries encountered (and removed) by this instance.
-        self.corrupt_entries = 0
-        #: Abandoned temp files swept at open (crashed writers' leftovers).
-        self.stale_temps_cleaned = shards.clean_stale_temps(self.root)
-        self._migrate_legacy_entries()
-        #: JSON entries re-encoded to the binary format by this open.
-        self.format_migrated = 0
-        self._migrate_format_entries()
-
-    def _migrate_legacy_entries(self) -> None:
-        """Move flat-layout entries (pre-sharding stores) into their shards."""
-
-        def digest_for(path: Path) -> str | None:
-            parts = path.stem.split("-")  # run-v<A>-<digest32>
-            return parts[2] if len(parts) == 3 and len(parts[2]) == 32 else None
-
-        def meta_for(path: Path) -> dict | None:
-            try:
-                payload = jsonsafe.loads(iolayer.read_text(path, root=self.root))
-            except (OSError, json.JSONDecodeError):
-                self.corrupt_entries += 1
-                return None
-            if not isinstance(payload, dict):
-                self.corrupt_entries += 1
-                return None
-            return _index_meta(payload)
-
-        shards.migrate_flat_entries(self.root, "run-*.json", digest_for, meta_for)
-
-    def _migrate_format_entries(self) -> None:
-        """Re-encode existing JSON entries as binary columns (binary writer only).
-
-        Same discipline as :meth:`TraceStore._migrate_format_entries`:
-        per-entry shard locking, the ``.json`` twin superseded in the same
-        critical section, unreadable/unencodable entries skipped, and a
-        degraded disk aborts the sweep rather than failing the open.
-        """
-        if self.write_format != "binary":
-            return
-        for path in list(shards.iter_entry_paths(self.root, "run-*.json")):
-            if path.parent == self.root:
-                continue  # legacy flat leftovers: not this migration's job
-            shard = path.parent
-            try:
-                with shards.shard_lock(shard):
-                    if not path.exists():  # another opener migrated it first
-                        continue
-                    try:
-                        payload = jsonsafe.loads(iolayer.read_text(path, root=self.root))
-                    except (OSError, json.JSONDecodeError):  # repro: allow[exceptions/swallow] unreadable/corrupt entries stay JSON; scrub handles them
-                        continue
-                    if not isinstance(payload, dict):
-                        continue
-                    try:
-                        data = colfmt.encode_run(payload)
-                    except (KeyError, TypeError, ValueError, IndexError):  # repro: allow[exceptions/swallow] unencodable payloads stay JSON (still servable)
-                        continue
-                    name = colfmt.entry_stem(path.name) + colfmt.COL_SUFFIX
-                    shards.write_entry_locked(
-                        shard, name, data, _index_meta(payload), supersedes=(path.name,)
-                    )
-                    self.format_migrated += 1
-            except iolayer.StoreDegraded:
-                break
-
-    def path_for(self, key: RunKey) -> Path:
-        """The (sharded) file a run persists to.
-
-        Prefers whichever format actually exists on disk (binary probed
-        first); for a not-yet-saved key, the write-format name.
-        """
-        digest = key.digest()
-        shard = shards.shard_dir(self.root, digest)
-        for fmt in STORE_FORMATS:
-            path = shard / _run_file_name(digest, fmt)
-            if path.exists():
-                return path
-        return shard / _run_file_name(digest, self.write_format)
-
-    def save(self, result: RunResult, key: RunKey) -> Path:
-        """Persist a finished run; returns the file written.
-
-        The sibling-format twin (if any) is superseded under the same
-        shard lock, so at most one format serves a logical entry.
-        """
-        digest = key.digest()
-        payload = run_to_dict(result, key)
-        if self.write_format == "binary":
-            data: str | bytes = colfmt.encode_run(payload)
-        else:
-            data = jsonsafe.dumps(payload)
-        other = "json" if self.write_format == "binary" else "binary"
-        return shards.write_entry(
-            self.root,
-            digest,
-            _run_file_name(digest, self.write_format),
-            data,
-            _index_meta(payload),
-            supersedes=(_run_file_name(digest, other),),
-        )
-
-    def commit(self, result: RunResult, key: RunKey) -> tuple[Path, bool]:
-        """Idempotently persist a run: ``(path, True)`` only for the first commit.
-
-        The at-most-once-in-effect primitive for crash-safe execution: a
-        re-executed job (lease expired, worker killed after ``save`` but
-        before acknowledging) produces bit-identical content, so a second
-        commit observes the existing readable entry and writes nothing.
-        A torn entry left by a crashed writer is quarantined by the
-        ``load_metrics`` probe and then overwritten — corrupt bytes are
-        never served and never block a retry.
-        """
-        if self.load_metrics(key) is not None:
-            return self.path_for(key), False
-        return self.save(result, key), True
-
-    def _payload(
-        self, key: RunKey, *, header_only: bool = False, _retry: bool = True
-    ) -> dict | None:
-        """The decoded payload for ``key`` from either format, or None.
-
-        ``header_only`` skips the record columns of a binary entry — the
-        identity block and pre-aggregated metrics live in its JSON header,
-        so :meth:`load_metrics` (the warm-sweep hot path) reads a few KiB
-        regardless of run length.  JSON entries always parse fully.
-
-        A read ``OSError`` (post-retry, through the seam) is a plain miss:
-        the entry is *unavailable*, not corrupt, and must never be
-        quarantined for it.  Only a genuine parse failure quarantines.
-        """
-        digest = key.digest()
-        shard = shards.shard_dir(self.root, digest)
-        binary_path = shard / _run_file_name(digest, "binary")
-        payload: dict | None
-        try:
-            if header_only:
-                payload = colfmt.read_run_header(binary_path, root=self.root)
-            else:
-                buffer = iolayer.read_bytes(binary_path, root=self.root, map=True)
-                payload = colfmt.decode_run(buffer)
-        except FileNotFoundError:
-            payload = None  # fall through to the JSON twin
-        except OSError:
-            return None  # unavailable, not corrupt: a miss, already counted
-        except colfmt.ColumnFormatError:
-            # Corrupt binary: quarantine, then retry once — serving the
-            # JSON twin (same content address) or a repaired entry.
-            self._quarantine(digest, binary_path.name)
-            if _retry:
-                return self._payload(key, header_only=header_only, _retry=False)
-            return None
-        if payload is not None:
-            return payload
-
-        json_path = shard / _run_file_name(digest, "json")
-        try:
-            payload = jsonsafe.loads(iolayer.read_text(json_path, root=self.root))
-        except FileNotFoundError:
-            return None
-        except OSError:
-            return None  # unavailable, not corrupt
-        except json.JSONDecodeError:
-            payload = None
-        if not isinstance(payload, dict):
-            if not self._quarantine(digest, json_path.name) and _retry:
-                # A concurrent writer replaced the entry mid-read; retry
-                # once against the now-complete file.
-                return self._payload(key, header_only=header_only, _retry=False)
-            return None
-        return payload
-
-    def _quarantine(self, digest: str, name: str) -> bool:
-        """Quarantine one corrupt entry; True when it was moved (counted)."""
-        try:
-            quarantined = shards.quarantine_corrupt_entry(self.root, digest, name)
-        except iolayer.StoreDegraded:
-            # Quarantine bookkeeping hit a full disk: the entry is still
-            # unservable, so this load is a miss either way.
-            self.corrupt_entries += 1
-            return True
-        if quarantined:
-            self.corrupt_entries += 1
-        return quarantined
-
-    def load(self, key: RunKey) -> RunResult | None:
-        """Load the persisted run for ``key``, or None if absent.
-
-        Unreadable entries (torn by a crash) are misses too — counted in
-        :attr:`corrupt_entries` and removed, never served.
-        """
-        payload = self._payload(key)
-        if payload is None:
-            return None
-        return run_from_dict(payload, key)
-
-    def load_metrics(self, key: RunKey) -> RunMetrics | None:
-        """Load only the pre-aggregated metrics of a persisted run.
-
-        The warm-sweep fast path: a binary entry serves this from its
-        few-KiB column header (record columns never read); a JSON entry
-        costs one parse + one dataclass construction.
-        """
-        payload = self._payload(key, header_only=True)
-        if payload is None:
-            return None
-        return metrics_from_dict(payload, key)
-
-    def __contains__(self, key: RunKey) -> bool:
-        return self.path_for(key).exists()
-
-    def __len__(self) -> int:
-        return sum(1 for _ in shards.iter_entry_paths(self.root, self.ENTRY_PATTERNS))
-
-    def clear(self) -> int:
-        """Delete every persisted run (both formats); returns how many were removed."""
-        removed = 0
-        for path in list(shards.iter_entry_paths(self.root, self.ENTRY_PATTERNS)):
-            if path.parent == self.root:  # legacy flat file written after open
-                path.unlink(missing_ok=True)
-                removed += 1
-                continue
-            if shards.remove_entry(self.root, path.stem.split("-")[2], path.name):
-                removed += 1
-        return removed
-
-    def audit(self) -> tuple[int, list[str]]:
-        """Cross-check shard indexes against entry files; see :func:`shards.audit_entries`."""
-        return shards.audit_entries(self.root, self.ENTRY_PATTERNS)
-
-    # ------------------------------------------------------------ health
-
-    @property
-    def degraded(self) -> bool:
-        """True while this store's root is in read-only (capacity) mode."""
-        return iolayer.is_degraded(self.root)
-
-    @property
-    def io_errors(self) -> int:
-        """I/O errors observed under this root (skipped paths included)."""
-        return iolayer.io_error_count(self.root)
-
-    # ------------------------------------------------------- maintenance
-
-    def scrub(self) -> maintenance.ScrubReport:
-        """Re-verify schema + recomputed run-key digest of every entry."""
-        return maintenance.scrub_entries(
-            self.root, self.ENTRY_PATTERNS, _scrub_problem, digest_for=_digest_from_name
-        )
-
-    def gc(
-        self,
-        *,
-        ttl_seconds: float = maintenance.DEFAULT_TTL_SECONDS,
-        dry_run: bool = True,
-        now: float | None = None,
-    ) -> maintenance.GcReport:
-        """TTL-collect quarantined files and stale temps (dry-run default)."""
-        return maintenance.gc_entries(
-            self.root, ttl_seconds=ttl_seconds, dry_run=dry_run, now=now
-        )
-
-    def repair(self) -> maintenance.RepairReport:
-        """Heal index↔disk drift (drop ghosts, re-index parseable orphans)."""
-        return maintenance.repair_entries(
-            self.root, self.ENTRY_PATTERNS, lambda name, payload: _index_meta(payload)
-        )
-
-
-def _digest_from_name(name: str) -> str | None:
-    """The shard digest encoded in a run entry file name (either format)."""
-    stem = colfmt.entry_stem(name)
-    parts = stem.split("-") if stem != name else []
-    return parts[2] if len(parts) == 3 and len(parts[2]) == 32 else None
 
 
 def _scrub_problem(name: str, payload: dict) -> str | None:
@@ -594,7 +337,7 @@ def _scrub_problem(name: str, payload: dict) -> str | None:
         )
     except (KeyError, TypeError, ValueError) as exc:
         return f"identity block incomplete ({exc})"
-    digest = _digest_from_name(name)
+    digest = RunStore._digest_from_name(name)
     if digest is not None and not key.digest().startswith(digest):
         return "recomputed run-key digest does not match file name"
     records = payload.get("records")
@@ -608,3 +351,95 @@ def _scrub_problem(name: str, payload: dict) -> str | None:
     if not isinstance(payload.get("metrics"), dict):
         return "metrics block is not an object"
     return None
+
+
+class RunStore(shards.ShardedEntryStore):
+    """A sharded directory of persisted policy runs, content-addressed by run key.
+
+    The same on-disk lifecycle as :class:`~repro.runtime.store.TraceStore`
+    (:class:`repro.runtime.shards.ShardedEntryStore`): entries shard by
+    run-key-digest prefix under ``root/<2-hex>/``, each shard carries an
+    index, and all writes are atomic (temp + ``os.replace``) under the
+    shard's advisory lock — so service worker threads, parallel sweep
+    workers, and whole separate processes can race on the same keys and
+    only ever leave complete files behind.  Loads re-validate the full
+    identity block.  An entry that cannot even be parsed is the same as a
+    missing one — a miss, counted in :attr:`corrupt_entries` and
+    quarantined; a parseable entry that does not match its key is a loud
+    :class:`RunSchemaError`.  Never a silently wrong run.
+    """
+
+    ENTRY_PATTERNS = ("run-*.json", "run-*.col")
+    NAME_PARTS = 3  # run-v<A>-<digest32>
+    DIGEST_CHARS = 32
+
+    _index_meta = staticmethod(_index_meta)
+    _scrub_problem = staticmethod(_scrub_problem)
+
+    @staticmethod
+    def _encode(payload: dict) -> bytes:
+        return colfmt.encode_run(payload)
+
+    def _address(self, key: RunKey) -> tuple[str, str]:
+        digest = key.digest()
+        return digest, _run_entry_stem(digest)
+
+    def _entry(self, result: RunResult, key: RunKey) -> tuple[str, str, dict]:
+        digest = key.digest()
+        return digest, _run_entry_stem(digest), run_to_dict(result, key)
+
+    def commit(self, result: RunResult, key: RunKey) -> tuple[Path, bool]:
+        """Idempotently persist a run: ``(path, True)`` only for the first commit.
+
+        The at-most-once-in-effect primitive for crash-safe execution: a
+        re-executed job (lease expired, worker killed after ``save`` but
+        before acknowledging) produces bit-identical content, so a second
+        commit observes the existing readable entry and writes nothing.
+        A torn entry left by a crashed writer is quarantined by the
+        ``load_metrics`` probe and then overwritten — corrupt bytes are
+        never served and never block a retry.
+        """
+        if self.load_metrics(key) is not None:
+            return self.path_for(key), False
+        return self.save(result, key), True
+
+    def _payload(self, key: RunKey, *, header_only: bool = False) -> dict | None:
+        """The decoded payload for ``key`` from either format, or None.
+
+        ``header_only`` skips the record columns of a binary entry — the
+        identity block and pre-aggregated metrics live in its JSON header,
+        so :meth:`load_metrics` (the warm-sweep hot path) reads a few KiB
+        regardless of run length.  Legacy JSON entries always parse fully.
+        """
+        root = self.root
+
+        def read_binary(path: Path) -> dict:
+            if header_only:
+                return colfmt.read_run_header(path, root=root)
+            return colfmt.decode_run(iolayer.read_bytes(path, root=root, map=True))
+
+        found = self._read(*self._address(key), read_binary)
+        return None if found is None else found[0]
+
+    def load(self, key: RunKey) -> RunResult | None:
+        """Load the persisted run for ``key``, or None if absent.
+
+        Unreadable entries (torn by a crash) are misses too — counted in
+        :attr:`corrupt_entries` and quarantined, never served.
+        """
+        payload = self._payload(key)
+        if payload is None:
+            return None
+        return run_from_dict(payload, key)
+
+    def load_metrics(self, key: RunKey) -> RunMetrics | None:
+        """Load only the pre-aggregated metrics of a persisted run.
+
+        The warm-sweep fast path: a binary entry serves this from its
+        few-KiB column header (record columns never read); a legacy JSON
+        entry costs one parse + one dataclass construction.
+        """
+        payload = self._payload(key, header_only=True)
+        if payload is None:
+            return None
+        return metrics_from_dict(payload, key)

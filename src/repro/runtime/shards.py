@@ -43,6 +43,11 @@ data blocks, so quarantine works even on a full disk) rather than
 deleted, so torn bytes stay inspectable; skipped paths and read errors
 are counted per root in ``iolayer.io_error_count`` instead of being
 silently dropped.
+
+**One store engine.**  :class:`ShardedEntryStore` is the lifecycle both
+entry stores share on top of these primitives — open-time cleanup and
+migration, binary saves, the probe/quarantine/retry read skeleton,
+health and maintenance; the trace and run stores only add their codecs.
 """
 
 from __future__ import annotations
@@ -51,10 +56,14 @@ import json
 import threading
 from contextlib import contextmanager
 from pathlib import Path
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
+from typing import TYPE_CHECKING
 
 from ..util import jsonsafe
 from . import colfmt, iolayer
+
+if TYPE_CHECKING:  # maintenance imports this module; its reports are annotations only
+    from .maintenance import GcReport, RepairReport, ScrubReport
 
 # Re-exported here for lower-tier sharing (characterization); store-tier
 # code routes writes through `iolayer` instead (the io-seam rule flags
@@ -76,6 +85,9 @@ INDEX_SCHEMA_VERSION = 1
 #: Corrupt entries are moved here (under the store root), never deleted:
 #: torn bytes are evidence, and a rename works even on a full disk.
 QUARANTINE_DIR = "_quarantine"
+
+#: Default age before quarantine/temp/dead-letter artifacts are collected.
+DEFAULT_TTL_SECONDS = 7 * 24 * 3600.0
 
 # One process-local mutex per lock file: fcntl locks are held per process
 # (re-acquiring in another thread of the same process would succeed), so
@@ -273,13 +285,6 @@ def update_entry(
             entries[name] = {}
         _write_index(shard, entries)
         return updated
-
-
-def remove_entry(root: Path, digest: str, name: str) -> bool:
-    """Delete one entry (file + index record); True if the file existed."""
-    shard = shard_dir(root, digest)
-    with shard_lock(shard):
-        return remove_entry_locked(shard, name)
 
 
 def remove_entry_locked(shard: Path, name: str) -> bool:
@@ -493,3 +498,273 @@ def audit_entries(root: Path, pattern: str | tuple[str, ...]) -> tuple[int, list
         for name in sorted(on_disk - set(indexed)):
             problems.append(f"{shard.name}/{name}: on disk but not indexed")
     return checked, problems
+
+
+class ShardedEntryStore:
+    """The lifecycle both entry stores share: open, save, probe, quarantine, maintain.
+
+    :class:`~repro.runtime.store.TraceStore` and
+    :class:`~repro.runtime.runstore.RunStore` differ only in what an entry
+    *is*; everything about how an entry lives on disk is here.  A
+    subclass supplies:
+
+    - its file-name scheme: :attr:`ENTRY_PATTERNS`, :attr:`NAME_PARTS`,
+      :attr:`DIGEST_CHARS`, ``_address(*key) -> (digest, stem)`` for the
+      keys :meth:`path_for` takes, and ``_entry(*args) -> (digest, stem,
+      payload)`` for the arguments :meth:`save` takes;
+    - its codec: ``_encode(payload) -> bytes`` and ``_index_meta(payload)``;
+    - its scrub rule: ``_scrub_problem(name, payload) -> str | None``;
+    - its typed loads, built on :meth:`_read`.
+
+    Entries are written in the binary column format
+    (:mod:`repro.runtime.colfmt`) only.  ``.json`` entries left by older
+    builds stay readable: :meth:`_read` falls back to them, and opening a
+    store re-encodes them in place (:attr:`format_migrated`).
+
+    Read discipline: a missing entry is a miss; an entry whose bytes
+    cannot be *read* (after the seam's retries) is a miss too, never
+    quarantined — unavailability is not evidence of corruption; only an
+    entry that *parses wrong* — including a binary entry whose header
+    points past the end of the file — is counted in
+    :attr:`corrupt_entries`, quarantined, and retried once.
+    """
+
+    #: Entry globs: the legacy JSON glob first, then the binary one.
+    ENTRY_PATTERNS: tuple[str, str] = ("", "")
+    #: ``-``-separated parts of an entry stem; part 2 is the shard digest.
+    NAME_PARTS = 0
+    #: Hex chars of the shard digest baked into an entry name.
+    DIGEST_CHARS = 0
+
+    def __init__(self, root: str | Path) -> None:
+        self.root = Path(root)
+        if self.root.exists() and not self.root.is_dir():
+            raise NotADirectoryError(
+                f"{type(self).__name__} path {self.root} exists and is not a directory"
+            )
+        self.root.mkdir(parents=True, exist_ok=True)
+        #: Corrupt entries encountered (and quarantined) by this instance —
+        #: a non-zero value means a writer died mid-life or the disk
+        #: corrupted an entry; each was re-treated as a miss.
+        self.corrupt_entries = 0
+        #: Abandoned temp files swept at open (crashed writers' leftovers).
+        self.stale_temps_cleaned = clean_stale_temps(self.root)
+        self._migrate_flat_entries()
+        #: Legacy JSON entries re-encoded to the binary format by this open.
+        self.format_migrated = 0
+        self._migrate_json_entries()
+
+    @classmethod
+    def _digest_from_name(cls, name: str) -> str | None:
+        """The shard digest encoded in an entry file name (either format)."""
+        stem = colfmt.entry_stem(name)
+        parts = stem.split("-") if stem != name else []
+        if len(parts) == cls.NAME_PARTS and len(parts[2]) == cls.DIGEST_CHARS:
+            return parts[2]
+        return None
+
+    # ----------------------------------------------------------------- open
+
+    def _migrate_flat_entries(self) -> None:
+        """Move flat-layout entries (pre-sharding stores) into their shards."""
+
+        def digest_for(path: Path) -> str | None:
+            return self._digest_from_name(path.name)
+
+        def meta_for(path: Path) -> dict | None:
+            try:
+                payload = colfmt.load_entry_payload(path, root=self.root)
+            except (OSError, *colfmt.PARSE_ERRORS):
+                self.corrupt_entries += 1
+                return None
+            return self._index_meta(payload)
+
+        migrate_flat_entries(self.root, self.ENTRY_PATTERNS[0], digest_for, meta_for)
+
+    def _migrate_json_entries(self) -> None:
+        """Re-encode legacy JSON entries as binary columns, in place.
+
+        Runs under each entry's shard lock; the ``.json`` file is removed
+        in the same critical section (``supersedes``), so no logical entry
+        ever has two live twins.  Entries that cannot be read or encoded
+        are skipped, and a degraded (full) disk aborts the sweep — opening
+        a store must never fail because migration could not proceed; the
+        legacy reader serves the leftovers either way.
+        """
+        for path in list(iter_entry_paths(self.root, self.ENTRY_PATTERNS[0])):
+            if path.parent == self.root:
+                continue  # legacy flat leftovers: not this migration's job
+            shard = path.parent
+            try:
+                with shard_lock(shard):
+                    if not path.exists():  # another opener migrated it first
+                        continue
+                    try:
+                        payload = colfmt.load_entry_payload(path, root=self.root)
+                    except (OSError, *colfmt.PARSE_ERRORS):  # repro: allow[exceptions/swallow] unreadable/corrupt entries stay JSON; scrub handles them
+                        continue
+                    try:
+                        data = self._encode(payload)
+                    except (KeyError, TypeError, ValueError, IndexError):  # repro: allow[exceptions/swallow] unencodable payloads stay JSON (still servable)
+                        continue
+                    name = colfmt.entry_stem(path.name) + colfmt.COL_SUFFIX
+                    write_entry_locked(
+                        shard, name, data, self._index_meta(payload), supersedes=(path.name,)
+                    )
+                    self.format_migrated += 1
+            except iolayer.StoreDegraded:
+                break
+
+    # -------------------------------------------------------- write / read
+
+    def path_for(self, *key) -> Path:
+        """The (sharded) file the entry for ``key`` persists to.
+
+        The binary name, unless only a legacy JSON twin exists on disk.
+        """
+        digest, stem = self._address(*key)
+        shard = shard_dir(self.root, digest)
+        binary = shard / (stem + colfmt.COL_SUFFIX)
+        if not binary.exists():
+            legacy = shard / (stem + colfmt.LEGACY_SUFFIX)
+            if legacy.exists():
+                return legacy
+        return binary
+
+    def save(self, *args) -> Path:
+        """Persist one entry in the binary format; returns the file written.
+
+        The write is atomic (temp file + rename) and the shard index is
+        updated under the shard's advisory lock, so concurrent readers
+        never observe a half-written entry and concurrent writers never
+        lose each other's index records.  A legacy JSON twin is
+        superseded under the same lock, so one file serves an entry.
+        """
+        digest, stem, payload = self._entry(*args)
+        return write_entry(
+            self.root,
+            digest,
+            stem + colfmt.COL_SUFFIX,
+            self._encode(payload),
+            self._index_meta(payload),
+            supersedes=(stem + colfmt.LEGACY_SUFFIX,),
+        )
+
+    def _read(
+        self, digest: str, stem: str, read_binary: Callable[[Path], dict],
+        *, _retry: bool = True,
+    ) -> tuple[dict, Path] | None:
+        """``(payload, path)`` of one entry, or None on a miss.
+
+        ``read_binary(path)`` decodes the binary entry (as much of it as
+        the caller needs); a missing one falls through to the legacy JSON
+        twin.  A read ``OSError`` is a plain miss.  A parse failure of
+        either format quarantines the entry and retries once — the retry
+        serves a surviving twin (entries are content-addressed, so any
+        parseable twin is the correct data) or a concurrently repaired
+        entry.
+        """
+        shard = shard_dir(self.root, digest)
+        binary_path = shard / (stem + colfmt.COL_SUFFIX)
+        try:
+            return read_binary(binary_path), binary_path
+        except FileNotFoundError:
+            json_path = shard / (stem + colfmt.LEGACY_SUFFIX)  # try the legacy twin
+        except OSError:
+            return None  # unavailable, not corrupt: a miss, already counted
+        except colfmt.ColumnFormatError:
+            self._quarantine(digest, binary_path.name)
+            if _retry:
+                return self._read(digest, stem, read_binary, _retry=False)
+            return None
+
+        try:
+            return colfmt.load_entry_payload(json_path, root=self.root), json_path
+        except OSError:
+            return None  # missing or unavailable: a miss either way
+        except colfmt.PARSE_ERRORS:
+            if not self._quarantine(digest, json_path.name) and _retry:
+                # A concurrent writer replaced the entry while we looked at
+                # it; one retry reads the now-complete file (or misses).
+                return self._read(digest, stem, read_binary, _retry=False)
+            return None
+
+    def _quarantine(self, digest: str, name: str) -> bool:
+        """Quarantine one corrupt entry; True when it was moved (counted)."""
+        try:
+            quarantined = quarantine_corrupt_entry(self.root, digest, name)
+        except iolayer.StoreDegraded:
+            # Quarantine bookkeeping hit a full disk: the entry is still
+            # unservable, so this load is a miss either way.
+            self.corrupt_entries += 1
+            return True
+        if quarantined:
+            self.corrupt_entries += 1
+        return quarantined
+
+    def __contains__(self, key) -> bool:
+        return self.path_for(*(key if isinstance(key, tuple) else (key,))).exists()
+
+    def __len__(self) -> int:
+        return sum(1 for _ in iter_entry_paths(self.root, self.ENTRY_PATTERNS))
+
+    def clear(self) -> int:
+        """Delete every persisted entry (both formats); returns how many were removed."""
+        removed = 0
+        for path in list(iter_entry_paths(self.root, self.ENTRY_PATTERNS)):
+            if path.parent == self.root:  # legacy flat file written after open
+                path.unlink(missing_ok=True)
+                removed += 1
+                continue
+            with shard_lock(path.parent):
+                removed += remove_entry_locked(path.parent, path.name)
+        return removed
+
+    def audit(self) -> tuple[int, list[str]]:
+        """Cross-check shard indexes against entry files; see :func:`audit_entries`."""
+        return audit_entries(self.root, self.ENTRY_PATTERNS)
+
+    # ----------------------------------------------------------------- health
+
+    @property
+    def degraded(self) -> bool:
+        """True while this store's root is in read-only (capacity) mode."""
+        return iolayer.is_degraded(self.root)
+
+    @property
+    def io_errors(self) -> int:
+        """I/O errors observed under this root (skipped paths included)."""
+        return iolayer.io_error_count(self.root)
+
+    # ------------------------------------------------------------ maintenance
+
+    def scrub(self) -> ScrubReport:
+        """Re-verify every indexed entry with the store's scrub rule; quarantine failures."""
+        from . import maintenance
+
+        return maintenance.scrub_entries(
+            self.root, self.ENTRY_PATTERNS, self._scrub_problem,
+            digest_for=self._digest_from_name,
+        )
+
+    def gc(
+        self,
+        *,
+        ttl_seconds: float = DEFAULT_TTL_SECONDS,
+        dry_run: bool = True,
+        now: float | None = None,
+    ) -> GcReport:
+        """TTL-collect quarantined files and stale temps (dry-run default)."""
+        from . import maintenance
+
+        return maintenance.gc_entries(
+            self.root, ttl_seconds=ttl_seconds, dry_run=dry_run, now=now
+        )
+
+    def repair(self) -> RepairReport:
+        """Heal index↔disk drift (drop ghosts, re-index parseable orphans)."""
+        from . import maintenance
+
+        return maintenance.repair_entries(
+            self.root, self.ENTRY_PATTERNS, lambda name, payload: self._index_meta(payload)
+        )

@@ -74,8 +74,8 @@ from ..core.policy import Policy
 from ..runtime.export import metrics_to_dict
 from ..runtime.iolayer import StoreDegraded
 from ..runtime.metrics import RunMetrics
-from ..runtime.runstore import RunKey, RunStore
-from ..sim.soc import SoC, xavier_nx_with_oakd
+from ..runtime.runstore import RunKey, RunStore, fingerprint_soc, make_run_key
+from ..sim.soc import SoC
 from .jobs import (
     ServiceBusy,
     ServiceError,
@@ -289,9 +289,9 @@ class QueueBackend:
     The backend enqueues each request's deduplicated unit jobs into the
     shared on-disk :class:`JobQueue` and assembles rows from the run
     store as the fleet commits them — the HTTP analogue of ``serve
-    --procs``.  RunKey derivation (zoo/SoC fingerprints, engine seed)
-    matches :class:`SweepService` and :class:`QueueWorker` exactly, so
-    the three tiers share one store vocabulary.
+    --procs``.  RunKeys come from :func:`~repro.runtime.runstore.make_run_key`,
+    as in :class:`SweepService` and :class:`QueueWorker`, so the three
+    tiers share one store vocabulary.
     """
 
     def __init__(
@@ -316,31 +316,24 @@ class QueueBackend:
         self._resolver = (
             policy_resolver if policy_resolver is not None else default_policy_resolver()
         )
-        self._soc_fp: str | None = None
 
     def submit(self, request: SweepRequest) -> _QueueHandle:
         from .jobs import decompose
 
         validate_specs(request.policies, self._resolver)
         jobs = decompose(request)
+        soc_fingerprint = fingerprint_soc(self._soc_factory)
         cells = []
         for job in jobs:
             policy = self._resolver(job.policy_spec)
-            try:
-                fingerprint = policy.fingerprint()
-            except NotImplementedError:
+            key = make_run_key(
+                policy, job.key[1], self.zoo, soc_fingerprint, self.engine_seed
+            )
+            if key is None:
                 raise ServiceError(
                     f"policy {job.policy_spec!r} has no fingerprint; queue execution "
                     f"requires run-store idempotence"
-                ) from None
-            key = RunKey(
-                policy_name=policy.name,
-                policy_fingerprint=fingerprint,
-                scenario_fingerprint=job.key[1],
-                zoo_fingerprint=self.zoo.fingerprint(),
-                soc_fingerprint=self._soc_fingerprint(),
-                engine_seed=self.engine_seed,
-            )
+                )
             cells.append(_QueueCell(
                 policy_spec=job.policy_spec,
                 scenario_name=job.scenario.name,
@@ -378,12 +371,6 @@ class QueueBackend:
     @property
     def io_errors(self) -> int:
         return self.queue.io_errors + self.run_store.io_errors
-
-    def _soc_fingerprint(self) -> str:
-        if self._soc_fp is None:
-            soc = self._soc_factory() if self._soc_factory is not None else xavier_nx_with_oakd()
-            self._soc_fp = soc.fingerprint()
-        return self._soc_fp
 
     def close(self) -> None:
         """Nothing to stop: the queue is on disk and the fleet is external."""

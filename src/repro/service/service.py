@@ -44,10 +44,10 @@ from ..runtime.metrics import RunMetrics, aggregate
 from ..core.policy import Policy
 from ..runtime.iolayer import StoreDegraded
 from ..runtime.runner import run_policy
-from ..runtime.runstore import RunKey, RunStore
+from ..runtime.runstore import RunStore, fingerprint_soc, make_run_key
 from ..runtime.store import TraceStore
 from ..runtime.trace import ScenarioTrace
-from ..sim.soc import SoC, xavier_nx_with_oakd
+from ..sim.soc import SoC
 from .jobs import ServiceBusy, ServiceError, SweepRequest, UnitJob, decompose, validate_specs
 from .jobs import policy_resolver as default_policy_resolver
 
@@ -181,7 +181,6 @@ class SweepService:
         self._resolver = (
             policy_resolver if policy_resolver is not None else default_policy_resolver()
         )
-        self._soc_fp: str | None = None
         # One mutex for every piece of cross-thread state; the declaration below
         # is enforced by `repro lint` (locks/guarded-attr).
         self._state = threading.Lock()  # repro: guards[_jobs, _traces, _closed, runs_executed, run_store_hits, trace_builds, trace_store_hits, jobs_coalesced, jobs_scheduled]
@@ -318,7 +317,12 @@ class SweepService:
 
     def _execute(self, job: UnitJob) -> RunMetrics:
         policy = self._resolver(job.policy_spec)  # fresh: policies are stateful
-        key = self._run_key(policy, job.scenario)
+        key = None
+        if self.run_store is not None:
+            key = make_run_key(
+                policy, job.scenario.fingerprint(), self.zoo,
+                fingerprint_soc(self._soc_factory), self.engine_seed,
+            )
         if key is not None:
             cached = self.run_store.load_metrics(key)
             if cached is not None:
@@ -344,31 +348,6 @@ class SweepService:
         if key is not None:
             self.run_store.save(result, key)
         return aggregate(result)
-
-    def _run_key(self, policy: Policy, scenario: Scenario) -> RunKey | None:
-        if self.run_store is None:
-            return None
-        try:
-            fingerprint = policy.fingerprint()
-        except NotImplementedError:
-            return None  # identity-less policies are never cached
-        return RunKey(
-            policy_name=policy.name,
-            policy_fingerprint=fingerprint,
-            scenario_fingerprint=scenario.fingerprint(),
-            zoo_fingerprint=self.zoo.fingerprint(),
-            soc_fingerprint=self._soc_fingerprint(),
-            engine_seed=self.engine_seed,
-        )
-
-    def _soc_fingerprint(self) -> str:
-        # Factories are deterministic in configuration (the same contract
-        # ExperimentRunner and parallel runs rely on), so one sample
-        # fingerprints every run's platform.
-        if self._soc_fp is None:
-            soc = self._soc_factory() if self._soc_factory is not None else xavier_nx_with_oakd()
-            self._soc_fp = soc.fingerprint()
-        return self._soc_fp
 
     # --------------------------------------------------------------- traces
 

@@ -41,10 +41,10 @@ from ..models.zoo import ModelZoo, default_zoo
 from ..core.policy import Policy
 from ..runtime.iolayer import StoreDegraded
 from ..runtime.runner import run_policy
-from ..runtime.runstore import RunKey, RunStore
+from ..runtime.runstore import RunStore, fingerprint_soc, make_run_key
 from ..runtime.store import TraceStore
 from ..runtime.trace import ScenarioTrace
-from ..sim.soc import SoC, xavier_nx_with_oakd
+from ..sim.soc import SoC
 from .jobs import ServiceError
 from .jobs import policy_resolver as default_policy_resolver
 from .queue import JobQueue, Lease
@@ -105,9 +105,9 @@ class QueueWorker:
     the store's idempotent commit; without it a re-executed job would be
     a duplicated effect.  ``soc`` is a zero-argument factory (or None for
     the default platform), same contract as the sweep service.  The
-    worker's RunKey derivation (zoo/soc fingerprints, lease engine seed)
-    matches SweepService exactly, so a queue-drained store warm-serves
-    the in-process service and vice versa.
+    worker derives RunKeys with :func:`~repro.runtime.runstore.make_run_key`
+    (lease engine seed), as SweepService does, so a queue-drained store
+    warm-serves the in-process service and vice versa.
     """
 
     def __init__(
@@ -150,7 +150,6 @@ class QueueWorker:
         self.hooks = hooks if hooks is not None else WorkerHooks()
         self.max_jobs = max_jobs
         self.exit_when_drained = exit_when_drained
-        self._soc_fp: str | None = None
         # Counters are read by the harness after the drain loop exits (or
         # the worker dies); the lock keeps the heartbeat thread's updates
         # coherent with the main loop's.
@@ -263,7 +262,12 @@ class QueueWorker:
         while not stop.wait(interval):
             if not self.hooks.heartbeat_ok(self, lease):
                 continue  # stalled: deadline keeps approaching
-            extended = self.queue.heartbeat(lease)
+            try:
+                extended = self.queue.heartbeat(lease)
+            except StoreDegraded:
+                # A full disk cannot extend the lease: stop beating and let
+                # it expire, the same outcome as a failed release in _process.
+                return
             with self._state:
                 if extended is None:
                     self.leases_lost += 1
@@ -274,7 +278,10 @@ class QueueWorker:
 
     def _execute(self, lease: Lease) -> None:
         policy = self._resolver(lease.policy_spec)  # fresh: policies are stateful
-        key = self._run_key(policy, lease)
+        key = make_run_key(
+            policy, lease.scenario_fingerprint, self.zoo,
+            fingerprint_soc(self._soc_factory), lease.engine_seed,
+        )
         if key is None:
             # No fingerprint means no idempotent commit — the queue tier
             # cannot run this policy at-most-once, so refuse loudly.
@@ -304,26 +311,6 @@ class QueueWorker:
         self.run_store.commit(result, key)
         self.hooks.before_complete(self, lease)
         self.queue.complete(lease)
-
-    def _run_key(self, policy: Policy, lease: Lease) -> RunKey | None:
-        try:
-            fingerprint = policy.fingerprint()
-        except NotImplementedError:
-            return None
-        return RunKey(
-            policy_name=policy.name,
-            policy_fingerprint=fingerprint,
-            scenario_fingerprint=lease.scenario_fingerprint,
-            zoo_fingerprint=self.zoo.fingerprint(),
-            soc_fingerprint=self._soc_fingerprint(),
-            engine_seed=lease.engine_seed,
-        )
-
-    def _soc_fingerprint(self) -> str:
-        if self._soc_fp is None:
-            soc = self._soc_factory() if self._soc_factory is not None else xavier_nx_with_oakd()
-            self._soc_fp = soc.fingerprint()
-        return self._soc_fp
 
     def _trace(self, scenario) -> ScenarioTrace:
         if self.trace_store is not None:

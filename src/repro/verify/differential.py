@@ -18,7 +18,8 @@ cross-engine correctness witness:
     every model on every frame;
 ``store``
     save -> load -> rebuild round-trip through :class:`TraceStore` —
-    persisted outcomes reload exactly, identity validation passes;
+    persisted outcomes reload exactly from binary and legacy JSON
+    entries alike, identity validation passes;
 ``trace``
     trace invariants — monotone frame indices and timestamps, aligned
     outcome lengths, confidence/IoU/quality bounds, detection-flag
@@ -79,10 +80,12 @@ from ..models.detector import detect
 from ..models.zoo import ModelZoo, default_zoo
 from ..core.policy import Policy
 from ..core.records import FrameRecord
-from ..runtime import shards
+from ..runtime import colfmt, shards
 from ..runtime.runner import run_policy
+from ..runtime.shards import ShardedEntryStore
 from ..runtime.store import TraceStore
 from ..runtime.trace import ScenarioTrace
+from ..util import jsonsafe
 
 # All check names, in the order verify_scenario runs them.
 CHECKS = (
@@ -186,16 +189,35 @@ def check_detect_equality(
     return _ok("detect")
 
 
+def plant_legacy_json(store: ShardedEntryStore, *args) -> Path:
+    """Write one entry into ``store`` as a legacy ``.json`` file; returns its path.
+
+    ``args`` are what ``store.save`` takes.  No store writes JSON any more,
+    but stores written by older builds hold such entries; this recreates
+    one the way the retired JSON writer did (same payload, same index
+    record, superseding the binary twin), so the legacy read path and
+    migrate-on-open stay covered.
+    """
+    digest, stem, payload = store._entry(*args)
+    return shards.write_entry(
+        store.root,
+        digest,
+        stem + colfmt.LEGACY_SUFFIX,
+        jsonsafe.dumps(payload),
+        store._index_meta(payload),
+        supersedes=(stem + colfmt.COL_SUFFIX,),
+    )
+
+
 def check_store_roundtrip(
     trace: ScenarioTrace, zoo: ModelZoo, store_root: str | Path | None = None
 ) -> CheckResult:
-    """Both store formats must reload bit-identically — in either direction.
+    """Binary and legacy JSON entries must both reload bit-identically.
 
-    Exercises the full dual-format matrix on one root: a JSON entry read
-    through the binary-preferring store (fallback path), a binary entry
-    superseding its JSON twin and read through a JSON-writer store, index
-    records identical across formats, and migrate-on-open re-encoding a
-    JSON entry in place.
+    Exercises the format matrix on one root: a legacy JSON entry read
+    through the fallback path, a binary save superseding its JSON twin
+    and loading lazily, index records identical across formats, and
+    migrate-on-open re-encoding a JSON entry in place.
     """
     scenario = trace.scenario
 
@@ -223,29 +245,28 @@ def check_store_roundtrip(
         return shards.read_index(path.parent).get(path.name)
 
     def roundtrip(root: Path) -> CheckResult:
-        # Open the binary store before any JSON entry exists, so
-        # migrate-on-open stays out of steps 1-3.
-        binary_store = TraceStore(root, write_format="binary")
-        json_store = TraceStore(root, write_format="json")
+        # Open the store before any JSON entry exists, so migrate-on-open
+        # stays out of steps 1-3.
+        store = TraceStore(root)
 
-        # 1. JSON write -> binary-preferring read (the fallback path).
-        json_path = json_store.save(trace, zoo)
+        # 1. Legacy JSON entry -> binary-preferring read (the fallback path).
+        json_path = plant_legacy_json(store, trace, zoo)
         if json_path.suffix != ".json" or not json_path.exists():
-            return _fail("store", f"JSON save produced no .json file at {json_path}")
+            return _fail("store", f"planting produced no .json file at {json_path}")
         json_meta = index_meta(json_path)
-        if failure := compare(binary_store.load(scenario, zoo), "json->binary-store"):
+        if failure := compare(store.load(scenario, zoo), "legacy-json"):
             return failure
 
-        # 2. Binary write supersedes the twin; JSON-writer store reads it.
-        col_path = binary_store.save(trace, zoo)
+        # 2. A binary save supersedes the twin and reloads lazily.
+        col_path = store.save(trace, zoo)
         if col_path.suffix != ".col" or not col_path.exists():
             return _fail("store", f"binary save produced no .col file at {col_path}")
         if json_path.exists():
             return _fail("store", "binary save left its superseded JSON twin behind")
-        loaded = json_store.load(scenario, zoo)
+        loaded = store.load(scenario, zoo)
         if loaded is not None and loaded.outcomes_materialized:
             return _fail("store", "binary load decoded outcomes eagerly (must stay lazy)")
-        if failure := compare(loaded, "binary->json-store"):
+        if failure := compare(loaded, "binary"):
             return failure
 
         # 3. Identical index records regardless of the bytes on disk.
@@ -253,8 +274,8 @@ def check_store_roundtrip(
             return _fail("store", "index records differ between the two formats")
 
         # 4. Migrate-on-open: a JSON entry is re-encoded binary in place.
-        json_store.save(trace, zoo)
-        migrated = TraceStore(root, write_format="binary")
+        plant_legacy_json(store, trace, zoo)
+        migrated = TraceStore(root)
         if migrated.format_migrated != 1:
             return _fail(
                 "store",

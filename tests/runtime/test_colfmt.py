@@ -5,9 +5,10 @@ Three contracts share this file because they share one failure surface:
 * the ``colfmt`` container and codecs must round-trip payloads
   *bit-identically* — the binary format is an encoding of the JSON
   payload, never a reinterpretation of it;
-* the stores must treat the two formats as one store — either format
-  written, either reader, same bytes out, same index records, corrupt
-  entries of either format quarantined the same way;
+* the stores must treat the two formats as one store — a legacy JSON
+  entry and a binary one give the same payload and the same index
+  records, and corrupt entries of either format (a torn column body
+  included) are quarantined the same way;
 * transient read errors must never destroy data — an EIO on a valid
   entry is a miss, not a quarantine (the bug this PR fixes), while
   non-finite floats must never produce invalid JSON on disk.
@@ -36,6 +37,7 @@ from repro.runtime.metrics import aggregate
 from repro.baselines import SingleModelPolicy
 from repro.sim import xavier_nx_with_oakd
 from repro.util import jsonsafe
+from repro.verify.differential import plant_legacy_json
 
 
 @pytest.fixture(scope="module")
@@ -118,11 +120,12 @@ class TestContainer:
 
 class TestCrossFormat:
     def test_trace_equal_through_both_formats(self, trace, scenario, zoo, tmp_path):
-        json_store = TraceStore(tmp_path, write_format="json")
-        json_path = json_store.save(trace, zoo)
+        json_store = TraceStore(tmp_path)
+        json_path = plant_legacy_json(json_store, trace, zoo)
         json_meta = shards.read_index(json_path.parent)[json_path.name]
+        via_json = json_store.load(scenario, zoo)  # opened before planting: the fallback
 
-        binary_store = TraceStore(tmp_path, write_format="binary")
+        binary_store = TraceStore(tmp_path)
         assert binary_store.format_migrated == 1, "open must re-encode the JSON entry"
         assert not json_path.exists()
         col_path = binary_store.path_for(scenario, zoo)
@@ -131,26 +134,26 @@ class TestCrossFormat:
         assert shards.read_index(col_path.parent)[col_path.name] == json_meta
 
         via_binary = binary_store.load(scenario, zoo)
-        via_json_reader = TraceStore(tmp_path, write_format="json").load(scenario, zoo)
         assert via_binary.outcomes == trace.outcomes
-        assert via_json_reader.outcomes == trace.outcomes
+        assert via_json.outcomes == trace.outcomes
 
     def test_run_equal_through_both_formats(self, result, key, tmp_path):
-        json_store = RunStore(tmp_path, write_format="json")
-        json_store.save(result, key)
+        json_store = RunStore(tmp_path)
+        plant_legacy_json(json_store, result, key)
         via_json = json_store.load(key)
+        json_metrics = json_store.load_metrics(key)
 
-        binary_store = RunStore(tmp_path, write_format="binary")
+        binary_store = RunStore(tmp_path)
         assert binary_store.format_migrated == 1
         via_binary = binary_store.load(key)
         assert via_binary.records == result.records == via_json.records
-        assert binary_store.load_metrics(key) == json_store.load_metrics(key)
+        assert binary_store.load_metrics(key) == json_metrics
 
     def test_binary_save_supersedes_json_twin(self, result, key, tmp_path):
-        json_path = RunStore(tmp_path, write_format="json").save(result, key)
-        # Fresh binary-writer store: saving replaces the twin atomically
-        # under the same shard lock (no double-indexed entry).
         store = RunStore(tmp_path)
+        json_path = plant_legacy_json(store, result, key)
+        # Saving replaces the legacy twin atomically under the same shard
+        # lock (no double-indexed entry).
         col_path = store.save(result, key)
         assert col_path.suffix == colfmt.COL_SUFFIX
         assert not json_path.exists()
@@ -173,6 +176,44 @@ class TestCrossFormat:
         assert not path.exists(), "corrupt entry must be quarantined"
         quarantined = list((tmp_path / "_quarantine").iterdir())
         assert len(quarantined) == 1
+
+
+class TestTornColumnBody:
+    """A ``.col`` entry cut short inside its column body is corrupt, not servable.
+
+    Its header still parses, so only the header probe's comparison of the
+    declared column extents against the file size can catch it; without
+    that check the trace store served a trace whose ``.outcomes`` raised
+    forever, and ``RunStore.commit`` reported the torn entry as committed.
+    """
+
+    @pytest.mark.parametrize("cut", [64, 100])
+    @pytest.mark.parametrize("kind", ["trace", "run"])
+    def test_truncated_body_is_a_counted_quarantined_miss(
+        self, kind, cut, trace, scenario, zoo, result, key, tmp_path
+    ):
+        if kind == "trace":
+            store = TraceStore(tmp_path)
+            path = store.save(trace, zoo)
+        else:
+            store = RunStore(tmp_path)
+            path = store.save(result, key)
+        data = path.read_bytes()
+        path.write_bytes(data[:-cut])
+
+        if kind == "trace":
+            assert store.load(scenario, zoo) is None
+            assert store.corrupt_entries == 1
+            assert not path.exists(), "torn entry must be quarantined"
+            rebuilt = store.get(scenario, zoo)  # the miss rebuilds and re-saves
+            assert rebuilt.outcomes == trace.outcomes
+            assert TraceStore(tmp_path).load(scenario, zoo).outcomes == trace.outcomes
+        else:
+            assert store.commit(result, key) == (path, True)  # re-written, not skipped
+            assert store.corrupt_entries == 1
+            assert RunStore(tmp_path).load(key).records == result.records
+        assert path.read_bytes() == data
+        assert len(list((tmp_path / shards.QUARANTINE_DIR).iterdir())) == 1
 
 
 class TestTransientReadErrors:

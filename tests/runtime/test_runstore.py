@@ -27,6 +27,7 @@ from repro.runtime import (
 )
 from repro.runtime.runstore import RUN_ALGORITHM_VERSION
 from repro.sim import gpu_only_soc, xavier_nx_with_oakd
+from repro.verify.differential import plant_legacy_json
 
 
 @pytest.fixture(scope="module")
@@ -108,10 +109,10 @@ class TestRoundTrip:
 
 class TestSchemaRejection:
     def _saved(self, tmp_path, result, key):
-        # Pinned to the JSON writer: these tests corrupt the payload by
-        # editing the file's text, which only the JSON format supports.
-        store = RunStore(tmp_path, write_format="json")
-        path = store.save(result, key)
+        # Legacy JSON entries: these tests corrupt the payload by editing
+        # the file's text, which only the JSON format supports.
+        store = RunStore(tmp_path)
+        path = plant_legacy_json(store, result, key)
         return store, path
 
     def test_unreadable_entry_is_a_counted_miss(self, tmp_path, result, key):
@@ -213,8 +214,8 @@ class TestInvalidation:
     def test_tampered_identity_block_is_rejected(self, tmp_path, result, key):
         # A file whose *name* matches but whose identity block does not
         # (hand-edited, or a digest collision) fails loudly.
-        store = RunStore(tmp_path, write_format="json")
-        path = store.save(result, key)
+        store = RunStore(tmp_path)
+        path = plant_legacy_json(store, result, key)
         payload = json.loads(path.read_text(encoding="utf-8"))
         payload["engine_seed"] = 4321
         path.write_text(json.dumps(payload), encoding="utf-8")

@@ -15,6 +15,7 @@ from repro.runtime import (
     trace_from_dict,
     trace_to_dict,
 )
+from repro.verify.differential import plant_legacy_json
 
 
 @pytest.fixture(scope="module")
@@ -74,9 +75,9 @@ class TestRoundTrip:
 
 class TestValidation:
     def test_wrong_schema_version_fails_loudly(self, trace, scenario, zoo, tmp_path):
-        # JSON writer: the test tampers with the payload via a text edit.
-        store = TraceStore(tmp_path, write_format="json")
-        path = store.save(trace, zoo)
+        # Legacy JSON entry: the test tampers with the payload via a text edit.
+        store = TraceStore(tmp_path)
+        path = plant_legacy_json(store, trace, zoo)
         payload = json.loads(path.read_text())
         payload["schema_version"] = 99
         path.write_text(json.dumps(payload))

@@ -10,6 +10,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -18,7 +19,7 @@ import pytest
 import repro
 from repro.data import ScenarioMatrix
 from repro.models import default_zoo
-from repro.runtime import RunStore, TraceStore, run_policy
+from repro.runtime import RunStore, StoreDegraded, TraceStore, run_policy
 from repro.runtime.runstore import RunKey
 from repro.runtime.trace import ScenarioTrace
 from repro.service import (
@@ -126,6 +127,22 @@ class TestDrain:
                     max_jobs=1).drain()
         assert queue.counts()["done"] == 1
         assert not queue.drained()
+
+
+class TestHeartbeat:
+    def test_degraded_queue_ends_the_heartbeat_quietly(self, tmp_path, monkeypatch):
+        # Under ENOSPC the heartbeat write raises StoreDegraded; the loop
+        # must stop (the lease then expires and the job is re-offered)
+        # instead of dying with an unhandled exception in its thread.
+        queue = JobQueue(tmp_path / "q", lease_duration=0.03)
+        worker = QueueWorker(queue, run_store=tmp_path / "runs", worker_id="wH")
+
+        def full_disk(lease):
+            raise StoreDegraded(queue.root, "write", "injected ENOSPC")
+
+        monkeypatch.setattr(queue, "heartbeat", full_disk)
+        worker._heartbeat_loop(None, threading.Event())  # returns, never raises
+        assert worker.heartbeats_sent == 0
 
 
 class TestCrashRecovery:

@@ -376,6 +376,41 @@ class TestStoreMaintenance:
         assert main(base + ["--apply"]) == 0
         assert not any(path.exists() for path in quarantined)
 
+    def test_migrate_reencodes_legacy_entries(self, tmp_path, capsys):
+        from repro.baselines import SingleModelPolicy
+        from repro.data import scenario_by_name
+        from repro.models import default_zoo
+        from repro.runtime import RunStore, ScenarioTrace, TraceStore, run_policy
+        from repro.runtime.runstore import fingerprint_soc, make_run_key
+        from repro.verify.differential import plant_legacy_json
+
+        zoo = default_zoo()
+        scenario = scenario_by_name("s3_indoor_close_wall").scaled(0.03)
+        trace = ScenarioTrace.build(scenario, zoo)
+        policy = SingleModelPolicy("yolov7-tiny", "gpu")
+        result = run_policy(policy, trace)
+        key = make_run_key(policy, scenario.fingerprint(), zoo, fingerprint_soc(), 1234)
+        traces, runs = TraceStore(tmp_path / "traces"), RunStore(tmp_path / "runs")
+        legacy = [plant_legacy_json(traces, trace, zoo), plant_legacy_json(runs, result, key)]
+
+        args = ["--trace-store", str(traces.root), "--run-store", str(runs.root),
+                "store", "migrate"]
+        assert main(args) == 0
+        out = capsys.readouterr().out
+        assert "traces: 1 legacy JSON entries re-encoded as binary" in out
+        assert "runs: 1 legacy JSON entries re-encoded as binary" in out
+        assert not any(path.exists() for path in legacy)
+        assert traces.path_for(scenario, zoo).suffix == ".col"
+        assert runs.path_for(key).suffix == ".col"
+        assert TraceStore(traces.root).load(scenario, zoo).outcomes == trace.outcomes
+        assert RunStore(runs.root).load(key).records == result.records
+        # Nothing is left to re-encode, and there is no format to choose.
+        assert main(args) == 0
+        assert "0 legacy JSON entries" in capsys.readouterr().out
+        with pytest.raises(SystemExit):
+            main(args + ["--format", "json"])
+        capsys.readouterr()
+
     def test_repair_covers_every_named_root(self, tmp_path, capsys):
         from repro.service import JobQueue
 

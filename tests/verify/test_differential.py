@@ -27,6 +27,7 @@ from repro.verify import (
     sample_matrix,
     verify_scenario,
 )
+from repro.verify.differential import plant_legacy_json
 
 # A compact grid over every family and regime; budgets stay small so the
 # full differential suite over 25 scenarios fits in tier-1 time.
@@ -139,9 +140,9 @@ class TestHarnessDetectsViolations:
         # store's own validation, not as a silently wrong trace.
         from repro.runtime import TraceSchemaError
 
-        # JSON writer: the test tampers with the payload via a text edit.
-        store = TraceStore(tmp_path, write_format="json")
-        path = store.save(trace, zoo)
+        # Legacy JSON entry: the test tampers with the payload via a text edit.
+        store = TraceStore(tmp_path)
+        path = plant_legacy_json(store, trace, zoo)
         payload = json.loads(path.read_text(encoding="utf-8"))
         payload["scenario_fingerprint"] = "0" * 64
         path.write_text(json.dumps(payload), encoding="utf-8")
