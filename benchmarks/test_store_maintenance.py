@@ -24,9 +24,9 @@ Reported per entry so the numbers stay legible as stores grow:
 
 from repro.data.grammar import ScenarioMatrix
 from repro.models import default_zoo
-from repro.runtime import RunKey, RunStore, ScenarioTrace, TraceStore, run_policy
+from repro.runtime import RunStore, ScenarioTrace, TraceStore, run_policy
+from repro.runtime.runstore import fingerprint_soc, make_run_key
 from repro.service import policy_resolver
-from repro.sim import xavier_nx_with_oakd
 
 _MATRIX = ScenarioMatrix(
     name="mbench",
@@ -47,7 +47,7 @@ def test_store_maintenance_benchmark(report, best_of, tmp_path_factory):
     root = tmp_path_factory.mktemp("maint")
     trace_store = TraceStore(root / "traces")
     run_store = RunStore(root / "runs")
-    soc_fp = xavier_nx_with_oakd().fingerprint()
+    soc_fp = fingerprint_soc()
 
     keys = []
     for scenario in scenarios:
@@ -56,8 +56,7 @@ def test_store_maintenance_benchmark(report, best_of, tmp_path_factory):
         for spec in _SPECS:
             policy = resolve(spec)
             result = run_policy(policy, trace, engine_seed=_ENGINE_SEED, fast=True)
-            key = RunKey(policy.name, policy.fingerprint(), scenario.fingerprint(),
-                         zoo.fingerprint(), soc_fp, _ENGINE_SEED)
+            key = make_run_key(policy, scenario.fingerprint(), zoo, soc_fp, _ENGINE_SEED)
             run_store.save(result, key)
             keys.append(key)
     entries = len(keys)

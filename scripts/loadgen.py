@@ -19,13 +19,15 @@ stores, and then *proves* the serve was sound:
 
 ``--chaos`` replays the same seeded mix through the crash-safe process
 path instead: the deduplicated unit jobs go into an on-disk
-:class:`~repro.service.JobQueue`, ``--procs`` real ``python -m repro
-work`` processes drain it, and a seeded kill schedule SIGKILLs
-``--kills`` of them mid-drain (each death is respawned).  The same
-soundness gates then run against the survivors' work — plus **zero lost
-jobs** (every enqueued job ends ``done``, none dead-lettered) and a warm
-in-process re-serve over the queue-written stores, proving the two
-execution tiers commit byte-identical, fingerprint-compatible entries.
+:class:`~repro.service.JobQueue`, a :class:`~repro.service.WorkerSupervisor`
+keeps ``--procs`` real ``python -m repro work`` processes draining it, and
+a seeded kill schedule SIGKILLs ``--kills`` of them mid-drain.  The
+``faults`` check's drain audit (:func:`repro.verify.drain.audit_drain`)
+then proves **zero lost jobs** (every job ends ``done``, none
+dead-lettered), one committed entry per job, zero corrupt entries, clean
+audits and serial bit-equality of records and metrics; a warm in-process
+re-serve (:func:`repro.verify.drain.warm_reserve_failures`) proves the
+two execution tiers commit byte-identical, fingerprint-compatible entries.
 
 ``--http`` replays the mix through the network tier: a real
 :class:`~repro.service.SweepHTTPServer` on an ephemeral localhost port,
@@ -40,13 +42,13 @@ admission probe (a full server answers 429 + Retry-After, never hangs).
 :class:`~repro.runtime.iolayer.FsFaultPlan` (ENOSPC bursts, EIO, torn
 partial writes and lost renames aimed at run commits) via
 ``--fs-fault-plan``.  After the faulted drain, the parent runs the
-documented recovery playbook — scrub both stores and the queue, repair
-shard indexes, re-offer the job set idempotently, re-pend every job
-whose committed effect is torn or missing — and a healthy fleet drains
-the remainder.  Gates: zero lost jobs, zero dead-letters from pure disk
-pressure, exactly one committed entry per job, zero corrupt servable
-entries, serial bit-equality, and a free warm in-process re-serve
-(clean recovery).
+``fsfaults`` check's recovery playbook (:func:`repro.verify.drain.recover`:
+scrub, repair, idempotent re-offer, and
+:meth:`~repro.service.JobQueue.repend_done` for every job whose committed
+effect is torn or missing), and a healthy fleet drains the remainder.
+Gates: the same drain audit (zero lost jobs, zero dead-letters from pure
+disk pressure, one committed entry per job, serial bit-equality), zero
+corrupt servable entries, and a free warm re-serve (clean recovery).
 
 Exit code 0 when every property holds, 1 otherwise (CI's
 ``service-smoke``, ``chaos-smoke``, ``http-smoke``, and
@@ -63,33 +65,41 @@ Exit code 0 when every property holds, 1 otherwise (CI's
 from __future__ import annotations
 
 import argparse
-import os
 import random
 import signal
-import subprocess
 import sys
 import tempfile
 import time
 from pathlib import Path
 
-import repro
 from repro.data.grammar import ScenarioMatrix
 from repro.models.zoo import default_zoo
 from repro.runtime.experiment import ExperimentRunner
-from repro.runtime.runner import run_policy
-from repro.runtime.runstore import RunKey, RunStore
+from repro.runtime.metrics import aggregate
+from repro.runtime.runstore import RunStore
 from repro.runtime.store import TraceStore
-from repro.runtime.trace import ScenarioTrace, TraceCache
+from repro.runtime.trace import TraceCache
 from repro.service import (
     JobQueue,
+    ServiceBackend,
     SweepService,
+    WorkerSpawner,
+    WorkerSupervisor,
     decompose,
     overlapping_requests,
     policy_resolver,
 )
-from repro.sim.soc import xavier_nx_with_oakd
+from repro.verify.drain import (
+    audit_drain,
+    audit_problems,
+    recover,
+    seed_traces,
+    warm_failures,
+    warm_reserve_failures,
+)
 
 DEFAULT_POLICIES = "single:yolov7-tiny@gpu,marlin-tiny,marlin"
+ENGINE_SEED = 1234  # the SweepService / JobQueue default; both tiers must agree
 
 
 def _pool_matrix(budget: int) -> ScenarioMatrix:
@@ -157,80 +167,99 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def run_load(args: argparse.Namespace, trace_root: Path, run_root: Path) -> int:
+def _mix(args: argparse.Namespace):
+    """(policies, scenarios, requests) of the seeded mix; None when a pool is empty."""
     policies = tuple(p.strip() for p in args.policies.split(",") if p.strip())
     scenarios = _pool_matrix(args.budget).scenarios()[: args.scenario_count]
     if not policies or not scenarios:
         print("empty policy or scenario pool", file=sys.stderr)
+        return None
+    return policies, scenarios, overlapping_requests(
+        policies, scenarios, count=args.requests, seed=args.seed
+    )
+
+
+def _service(args: argparse.Namespace, trace_root: Path, run_root: Path) -> SweepService:
+    return SweepService(
+        trace_store=TraceStore(trace_root), run_store=RunStore(run_root), workers=args.workers
+    )
+
+
+def _serve_failures(label: str, counters: dict[str, int], corrupt: int,
+                    expect_warm: bool) -> list[str]:
+    """One serve's gates: zero duplicate executions, zero corrupt entries, and
+    under ``--expect-warm`` nothing run or built (another process populated
+    these stores; fingerprint stability must make every job a hit)."""
+    failures = []
+    runs, hits, jobs = (counters[k] for k in ("runs_executed", "run_store_hits",
+                                               "jobs_scheduled"))
+    if runs + hits != jobs:
+        failures.append(f"{label} duplicate executions: {runs} runs + {hits} hits != "
+                        f"{jobs} jobs")
+    if corrupt:
+        failures.append(f"{label}: {corrupt} corrupt store entries")
+    if expect_warm:
+        failures += warm_failures("expected a warm serve but the first serve", runs,
+                                  counters["trace_builds"])
+    return failures
+
+
+def _serial_metrics():
+    """A memoized ``(spec, scenario) -> RunMetrics`` of the foreground serial path."""
+    resolve = policy_resolver()
+    runner = ExperimentRunner(cache=TraceCache(default_zoo()))
+    memo: dict[tuple[str, str], object] = {}
+
+    def serial(spec: str, scenario):
+        pair = (spec, scenario.name)
+        if pair not in memo:
+            # Fresh policy per run: policies are stateful.
+            memo[pair] = aggregate(runner.run(resolve(spec), scenario))
+        return memo[pair]
+
+    return serial, memo
+
+
+def _verdict(mode: str, failures: list[str], summary: str) -> int:
+    """Print the failures and return 1, or the all-passed line and return 0."""
+    name = f"{mode} loadgen".lstrip()
+    if failures:
+        print(f"\n{name.upper()} FAILED:", file=sys.stderr)
+        for failure in failures:
+            print(f"  - {failure}", file=sys.stderr)
         return 1
-    requests = overlapping_requests(policies, scenarios, count=args.requests, seed=args.seed)
+    print(f"{name}: all checks passed ({summary})")
+    return 0
+
+
+def run_load(args: argparse.Namespace, mix, trace_root: Path, run_root: Path) -> int:
+    requests = mix[2]
     total_cells = sum(len(r.policies) * len(r.scenarios) for r in requests)
 
-    failures: list[str] = []
-
-    def check(condition: bool, label: str) -> None:
-        if not condition:
-            failures.append(label)
-
     t0 = time.perf_counter()
-    with SweepService(
-        trace_store=TraceStore(trace_root),
-        run_store=RunStore(run_root),
-        workers=args.workers,
-    ) as service:
+    with _service(args, trace_root, run_root) as service:
         results = [handle.result() for handle in service.serve(requests)]
         cold_s = time.perf_counter() - t0
-        scheduled = service.jobs_scheduled
-        check(
-            service.runs_executed + service.run_store_hits == scheduled,
-            f"duplicate executions: {service.runs_executed} runs + "
-            f"{service.run_store_hits} hits != {scheduled} jobs",
-        )
-        check(service.corrupt_entries == 0,
-              f"{service.corrupt_entries} corrupt store entries")
-        if args.expect_warm:
-            # Cross-process warm restart: another process populated these
-            # stores; fingerprint stability must make every job a hit.
-            check(service.runs_executed == 0,
-                  f"expected a warm serve but {service.runs_executed} runs executed")
-            check(service.trace_builds == 0,
-                  f"expected a warm serve but {service.trace_builds} traces built")
-        coalesced = service.jobs_coalesced
+        failures = _serve_failures("cold serve", ServiceBackend(service).counters(),
+                                   service.corrupt_entries, args.expect_warm)
         stats = (
-            f"{len(requests)} requests ({total_cells} cells) -> {scheduled} jobs, "
-            f"{coalesced} coalesced, {service.runs_executed} runs, "
+            f"{len(requests)} requests ({total_cells} cells) -> {service.jobs_scheduled} "
+            f"jobs, {service.jobs_coalesced} coalesced, {service.runs_executed} runs, "
             f"{service.run_store_hits} run-store hits, {service.trace_builds} trace builds"
         )
-
-    for label, store in (("trace store", TraceStore(trace_root)),
-                         ("run store", RunStore(run_root))):
-        _, problems = store.audit()
-        check(not problems, f"{label} audit: {problems}")
-
+    failures += audit_problems(traces=TraceStore(trace_root), runs=RunStore(run_root))
     print(f"cold serve: {stats} in {cold_s:.2f}s")
 
     # Warm re-serve: the whole mix again, over fresh service + same stores.
     t0 = time.perf_counter()
-    with SweepService(
-        trace_store=TraceStore(trace_root),
-        run_store=RunStore(run_root),
-        workers=args.workers,
-    ) as warm:
-        warm_results = [handle.result() for handle in warm.serve(requests)]
-        warm_s = time.perf_counter() - t0
-        check(warm.runs_executed == 0, f"warm re-serve executed {warm.runs_executed} runs")
-        check(warm.trace_builds == 0, f"warm re-serve built {warm.trace_builds} traces")
-        check(warm.corrupt_entries == 0, "warm re-serve hit corrupt entries")
-    check(warm_results == results, "warm re-serve metrics diverged from cold serve")
-    print(f"warm re-serve: 0 runs, 0 trace builds in {warm_s:.2f}s")
+    failures += warm_reserve_failures(trace_root, run_root, requests,
+                                      workers=args.workers, expected=results)
+    print(f"warm re-serve: 0 runs, 0 trace builds in {time.perf_counter() - t0:.2f}s")
 
     if not args.skip_serial_check:
-        from repro.runtime.metrics import aggregate
-
         t0 = time.perf_counter()
         resolve = policy_resolver()
-        runner = ExperimentRunner(cache=TraceCache(default_zoo()))
-        serial: dict[tuple[str, str], object] = {}
+        serial, verified = _serial_metrics()
         for request, result in zip(requests, results):
             rows = {
                 (name, m.scenario_name): m
@@ -241,285 +270,130 @@ def run_load(args: argparse.Namespace, trace_root: Path, run_root: Path) -> int:
                 display_name = resolve(spec).name
                 for scenario in request.resolve_scenarios():
                     pair = (display_name, scenario.name)
-                    if pair not in serial:
-                        # Fresh policy per run: policies are stateful.
-                        serial[pair] = aggregate(runner.run(resolve(spec), scenario))
-                    check(
-                        rows.get(pair) == serial[pair],
-                        f"request {request.request_id}: {pair} diverges from serial run",
-                    )
-        print(f"serial bit-equality: {len(serial)} pairs verified in "
+                    if rows.get(pair) != serial(spec, scenario):
+                        failures.append(f"request {request.request_id}: {pair} "
+                                        f"diverges from serial run")
+        print(f"serial bit-equality: {len(verified)} pairs verified in "
               f"{time.perf_counter() - t0:.2f}s")
 
-    if failures:
-        print("\nLOADGEN FAILED:", file=sys.stderr)
-        for failure in failures:
-            print(f"  - {failure}", file=sys.stderr)
-        return 1
-    print("loadgen: all checks passed (0 corrupt entries, 0 duplicate executions, "
-          "serial bit-equality, free warm re-serve)")
-    return 0
+    return _verdict("", failures, "0 corrupt entries, 0 duplicate executions, "
+                    "serial bit-equality, free warm re-serve")
 
 
-ENGINE_SEED = 1234  # the SweepService / JobQueue default; both tiers must agree
+class _QueueFlight:
+    """The mix's unique jobs on an on-disk queue, and the process fleets
+    that drain it (``--chaos`` and ``--fs-chaos``).
 
-
-def run_chaos(args: argparse.Namespace, trace_root: Path, run_root: Path) -> int:
-    """The crash-safe path under fire: queue + worker processes + SIGKILLs.
-
-    Same seeded request mix as :func:`run_load`, but drained by real
-    ``python -m repro work`` subprocesses over an on-disk queue while a
-    seeded schedule kills ``--kills`` of them.  Every death is respawned;
-    lease expiry migrates the victim's job to a survivor.  The gates
-    prove nothing was lost, duplicated, corrupted, or computed
-    differently from the serial path — and a warm in-process re-serve
-    shows the two execution tiers share one store vocabulary.
+    Traces are built serially up front so worker wall-clock is spent on
+    the thing under test, not on duplicate trace builds.
     """
-    policies = tuple(p.strip() for p in args.policies.split(",") if p.strip())
-    scenarios = _pool_matrix(args.budget).scenarios()[: args.scenario_count]
-    if not policies or not scenarios:
-        print("empty policy or scenario pool", file=sys.stderr)
-        return 1
-    requests = overlapping_requests(policies, scenarios, count=args.requests, seed=args.seed)
-    unique_jobs = {}
-    for request in requests:
-        for job in decompose(request):
-            unique_jobs.setdefault(job.key, job)
-    jobs = list(unique_jobs.values())
 
-    failures: list[str] = []
+    def __init__(self, args: argparse.Namespace, trace_root: Path, run_root: Path,
+                 requests, max_attempts: int) -> None:
+        self.args, self.trace_root, self.run_root = args, trace_root, run_root
+        self.requests = requests
+        self.jobs = list({job.key: job for r in requests for job in decompose(r)}.values())
+        self.trace_store = TraceStore(trace_root)
+        t0 = time.perf_counter()
+        scenarios = {job.scenario.name: job.scenario for job in self.jobs}.values()
+        built = seed_traces(self.trace_store, scenarios, default_zoo())
+        print(f"traces: {built} built in {time.perf_counter() - t0:.2f}s")
+        self.queue = JobQueue(run_root / "_queue", lease_duration=args.lease,
+                              max_attempts=max_attempts)
+        enqueued = self.queue.enqueue_all(self.jobs, engine_seed=ENGINE_SEED)
+        print(f"queue: {len(requests)} requests -> {len(self.jobs)} unique jobs, "
+              f"{enqueued} enqueued")
 
-    def check(condition: bool, label: str) -> None:
-        if not condition:
-            failures.append(label)
+    def spawner(self, tag: str, per_worker=lambda index: ()) -> WorkerSpawner:
+        """``repro work`` processes over this flight's queue and stores."""
+        return WorkerSpawner(self.queue.root, [
+            "--run-store", str(self.run_root), "--trace-store", str(self.trace_root),
+            "--lease", str(self.args.lease), "--poll", "0.05",
+        ], prefix=tag, per_worker=per_worker)
 
-    # Pre-build traces serially so worker wall-clock is dominated by the
-    # thing under test (queue recovery), not by duplicate trace builds.
-    zoo = default_zoo()
-    trace_store = TraceStore(trace_root)
-    t0 = time.perf_counter()
-    built = 0
-    for scenario in {job.scenario.name: job.scenario for job in jobs}.values():
-        if trace_store.load(scenario, zoo) is None:
-            trace_store.save(ScenarioTrace.build(scenario, zoo), zoo)
-            built += 1
-    print(f"traces: {built} built in {time.perf_counter() - t0:.2f}s")
+    def drain(self, label: str, spawn: WorkerSpawner, *, respawn_budget: int,
+              deadline: float, on_tick=None) -> bool:
+        """Drain the queue with ``--procs`` supervised workers; True on timeout."""
+        t0 = time.perf_counter()
+        supervisor = WorkerSupervisor(spawn, self.args.procs, respawn_budget=respawn_budget)
+        try:
+            timed_out = supervisor.drain(self.queue, deadline, poll=0.05, on_tick=on_tick)
+        finally:
+            supervisor.reap()
+        print(f"{label}: {supervisor.spawned} workers spawned, "
+              f"{time.perf_counter() - t0:.2f}s" + (" (TIMED OUT)" if timed_out else ""))
+        return timed_out
 
-    queue_root = run_root / "_queue"
-    queue = JobQueue(queue_root, lease_duration=args.lease, max_attempts=5)
-    enqueued = queue.enqueue_all(jobs, engine_seed=ENGINE_SEED)
-    print(f"queue: {len(requests)} requests -> {len(jobs)} unique jobs, {enqueued} enqueued")
+    def gates(self, timed_out: bool) -> list[str]:
+        """The shared drain audit plus a warm in-process re-serve; failures."""
+        t0 = time.perf_counter()
+        outcome = audit_drain(self.queue, self.jobs, self.run_root, self.trace_store,
+                              default_zoo(), engine_seed=ENGINE_SEED)
+        outcome.timed_out = timed_out
+        failures = outcome.failures()
+        if outcome.corrupt_quarantined:
+            failures.append(f"{outcome.corrupt_quarantined} corrupt run entries")
+        print(f"serial bit-equality: {outcome.expected_entries} runs verified in "
+              f"{time.perf_counter() - t0:.2f}s")
 
-    env = dict(os.environ)
-    package_root = Path(repro.__file__).resolve().parent.parent
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(package_root)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
-    )
-    spawned = 0
+        # Warm in-process re-serve: the thread service over the queue-written
+        # stores must answer the whole mix without executing anything.
+        t0 = time.perf_counter()
+        failures += warm_reserve_failures(self.trace_root, self.run_root, self.requests,
+                                          workers=self.args.workers)
+        print(f"warm re-serve: 0 runs, 0 trace builds in {time.perf_counter() - t0:.2f}s")
+        return failures
 
-    def spawn() -> subprocess.Popen:
-        nonlocal spawned
-        spawned += 1
-        return subprocess.Popen(
-            [sys.executable, "-m", "repro", "work", str(queue_root),
-             "--run-store", str(run_root), "--trace-store", str(trace_root),
-             "--worker-id", f"chaos-w{spawned}", "--lease", str(args.lease),
-             "--poll", "0.05"],
-            env=env,
-        )
 
+def run_chaos(args: argparse.Namespace, mix, trace_root: Path, run_root: Path) -> int:
+    """``--chaos``: SIGKILL workers mid-drain on a seeded schedule; every
+    death is respawned and lease expiry migrates the victim's job."""
+    flight = _QueueFlight(args, trace_root, run_root, mix[2], max_attempts=5)
     rng = random.Random(args.chaos_seed)
     kills_left = max(0, args.kills)
-    killed = 0
     # Armed from the start: the first kill fires as soon as any lease is
     # observed (a worker is mid-job), later ones on a seeded cadence.
     # Killing on lease activity rather than wall clock keeps the
     # schedule effective however fast the jobs drain.
     next_kill = 0.0
-    deadline = time.monotonic() + args.timeout
-    respawn_budget = args.procs * 4 + args.kills
-    timed_out = False
-    t0 = time.perf_counter()
-    procs = [spawn() for _ in range(args.procs)]
-    try:
-        while True:
-            queue.expire_overdue()
-            counts = queue.counts()
-            if counts["pending"] + counts["leased"] == 0:
-                break
-            now = time.monotonic()
-            if now > deadline:
-                timed_out = True
-                break
-            if kills_left and counts["leased"] and now >= next_kill:
-                live = [p for p in procs if p.poll() is None]
-                if live:
-                    victim = rng.choice(live)
-                    victim.send_signal(signal.SIGKILL)
-                    victim.wait()
-                    killed += 1
-                    kills_left -= 1
-                    next_kill = now + rng.uniform(0.1, 0.5)
-            alive = []
-            for proc in procs:
-                if proc.poll() is None:
-                    alive.append(proc)
-                elif respawn_budget > 0:
-                    respawn_budget -= 1
-                    alive.append(spawn())
-            procs = alive
-            if not procs:
-                break
-            time.sleep(0.05)
-    finally:
-        # Two-pass reap: signal everyone first, then wait out one shared
-        # deadline, then SIGKILL stragglers.  A per-process wait(timeout=)
-        # here would raise TimeoutExpired on the first hung worker and
-        # leak every one after it (the serve --procs orphan bug).
-        for proc in procs:
-            proc.terminate()
-        reap_deadline = time.monotonic() + 10.0
-        stubborn = []
-        for proc in procs:
-            try:
-                proc.wait(timeout=max(0.0, reap_deadline - time.monotonic()))
-            except subprocess.TimeoutExpired:
-                stubborn.append(proc)
-        for proc in stubborn:
-            proc.kill()
-        for proc in stubborn:
-            proc.wait()
-    drain_s = time.perf_counter() - t0
-    print(f"chaos drain: {spawned} workers spawned, {killed} SIGKILLed, "
-          f"{drain_s:.2f}s" + (" (TIMED OUT)" if timed_out else ""))
+    spawn = flight.spawner("chaos")
 
-    check(not timed_out, f"queue not drained after {args.timeout:.0f}s")
-    check(killed == args.kills, f"kill schedule fired {killed}/{args.kills} kills")
+    def kill_on_schedule(counts: dict[str, int]) -> None:
+        """Victims come from the processes the spawn factory started."""
+        nonlocal kills_left, next_kill
+        now = time.monotonic()
+        live = [proc for proc in spawn.procs if proc.poll() is None]
+        if kills_left and counts["leased"] and now >= next_kill and live:
+            victim = rng.choice(live)
+            victim.send_signal(signal.SIGKILL)
+            victim.wait()
+            kills_left -= 1
+            next_kill = now + rng.uniform(0.1, 0.5)
 
-    # Zero lost jobs: every enqueued job ended done — none pending,
-    # leased, or dead-lettered.
-    counts = queue.counts()
-    check(counts["done"] == len(jobs) and counts["total"] == len(jobs),
-          f"lost jobs: {counts} != {len(jobs)} done")
-
-    # Zero duplicate committed effects: exactly one store entry per job.
-    store = RunStore(run_root)
-    check(len(store) == len(jobs),
-          f"run store holds {len(store)} entries for {len(jobs)} jobs")
-    check(store.corrupt_entries == 0, f"{store.corrupt_entries} corrupt run entries")
-
-    # Serial bit-equality: each committed run, frame for frame.
-    t0 = time.perf_counter()
-    resolve = policy_resolver()
-    soc_fp = xavier_nx_with_oakd().fingerprint()
-    zoo_fp = zoo.fingerprint()
-    for job in jobs:
-        policy = resolve(job.policy_spec)
-        key = RunKey(policy.name, policy.fingerprint(), job.key[1],
-                     zoo_fp, soc_fp, ENGINE_SEED)
-        stored = store.load(key)
-        label = f"{job.policy_spec}/{job.scenario.name}"
-        if stored is None:
-            check(False, f"{label}: no committed run")
-            continue
-        trace = trace_store.load(job.scenario, zoo)
-        serial = run_policy(resolve(job.policy_spec), trace, engine_seed=ENGINE_SEED,
-                            fast=True)
-        check(stored.records == serial.records,
-              f"{label}: frame records diverge from serial")
-    print(f"serial bit-equality: {len(jobs)} runs verified in {time.perf_counter() - t0:.2f}s")
-
-    for label, audited in (("trace store", trace_store), ("run store", store),
-                           ("queue", queue)):
-        _, problems = audited.audit()
-        check(not problems, f"{label} audit: {problems}")
-
-    # Warm in-process re-serve: the thread service over the queue-written
-    # stores must answer the whole mix without executing anything.
-    t0 = time.perf_counter()
-    with SweepService(
-        trace_store=TraceStore(trace_root),
-        run_store=RunStore(run_root),
-        workers=args.workers,
-    ) as warm:
-        for handle in warm.serve(requests):
-            handle.result()
-        check(warm.runs_executed == 0, f"warm re-serve executed {warm.runs_executed} runs")
-        check(warm.trace_builds == 0, f"warm re-serve built {warm.trace_builds} traces")
-        check(warm.corrupt_entries == 0, "warm re-serve hit corrupt entries")
-    print(f"warm re-serve: 0 runs, 0 trace builds in {time.perf_counter() - t0:.2f}s")
-
-    if failures:
-        print("\nCHAOS LOADGEN FAILED:", file=sys.stderr)
-        for failure in failures:
-            print(f"  - {failure}", file=sys.stderr)
-        return 1
-    print(f"chaos loadgen: all checks passed ({killed} workers killed, 0 lost jobs, "
-          "0 duplicate effects, 0 corrupt entries, serial bit-equality, "
-          "free warm re-serve)")
-    return 0
+    timed_out = flight.drain("chaos drain", spawn,
+                             respawn_budget=args.procs * 4 + args.kills,
+                             deadline=time.monotonic() + args.timeout,
+                             on_tick=kill_on_schedule)
+    killed = max(0, args.kills) - kills_left
+    failures = [] if killed == args.kills else [
+        f"kill schedule fired {killed}/{args.kills} kills"]
+    failures += flight.gates(timed_out)
+    return _verdict("chaos", failures, f"{killed} workers killed, 0 lost jobs, "
+                    "0 duplicate effects, 0 corrupt entries, serial bit-equality, "
+                    "free warm re-serve")
 
 
-def run_fs_chaos(args: argparse.Namespace, trace_root: Path, run_root: Path) -> int:
-    """The degraded-mode contract under fire: real workers on a breaking disk.
-
-    Same seeded request mix as :func:`run_chaos`, but instead of killing
-    workers the disk itself misbehaves: every spawned ``python -m repro
-    work`` process arms its own seeded
-    :class:`~repro.runtime.iolayer.FsFaultPlan` (``--fs-fault-plan``),
-    so ENOSPC bursts, EIO, partial writes, and lost renames fire inside
-    the real commit paths.  The parent then runs the recovery playbook
-    exactly as an operator would — scrub / repair over both stores and
-    the queue, idempotent re-offer, re-pend of done-but-torn jobs — and
-    a healthy fleet finishes the drain.  The gates prove the contract:
-    nothing lost, nothing dead-lettered by pure disk pressure, nothing
-    duplicated, nothing torn left servable, and bit-equality with the
-    serial path once space returns.
-    """
-    from repro.runtime import shards
+def run_fs_chaos(args: argparse.Namespace, mix, trace_root: Path, run_root: Path) -> int:
+    """``--fs-chaos``: a faulted drain on per-worker disk-fault plans, the
+    shared recovery playbook, then a healthy drain of the remainder."""
     from repro.runtime.iolayer import FsFaultEvent, FsFaultPlan
-    from repro.service.queue import _job_file_name, job_digest
 
-    policies = tuple(p.strip() for p in args.policies.split(",") if p.strip())
-    scenarios = _pool_matrix(args.budget).scenarios()[: args.scenario_count]
-    if not policies or not scenarios:
-        print("empty policy or scenario pool", file=sys.stderr)
-        return 1
-    requests = overlapping_requests(policies, scenarios, count=args.requests, seed=args.seed)
-    unique_jobs = {}
-    for request in requests:
-        for job in decompose(request):
-            unique_jobs.setdefault(job.key, job)
-    jobs = list(unique_jobs.values())
-
-    failures: list[str] = []
-
-    def check(condition: bool, label: str) -> None:
-        if not condition:
-            failures.append(label)
-
-    # Pre-build traces on a healthy disk: the fault plans aim at the run
-    # commit and queue-record paths, not at trace construction.
-    zoo = default_zoo()
-    trace_store = TraceStore(trace_root)
-    t0 = time.perf_counter()
-    built = 0
-    for scenario in {job.scenario.name: job.scenario for job in jobs}.values():
-        if trace_store.load(scenario, zoo) is None:
-            trace_store.save(ScenarioTrace.build(scenario, zoo), zoo)
-            built += 1
-    print(f"traces: {built} built in {time.perf_counter() - t0:.2f}s")
-
-    queue_root = run_root / "_queue"
-    queue = JobQueue(queue_root, lease_duration=args.lease, max_attempts=8)
-    enqueued = queue.enqueue_all(jobs, engine_seed=ENGINE_SEED)
-    print(f"queue: {len(requests)} requests -> {len(jobs)} unique jobs, {enqueued} enqueued")
-
+    flight = _QueueFlight(args, trace_root, run_root, mix[2], max_attempts=8)
     rng = random.Random(args.fs_chaos_seed)
     plan_dir = run_root / "_fsplans"
     plan_dir.mkdir(parents=True, exist_ok=True)
 
-    def worker_plan(index: int) -> Path:
+    def worker_plan(index: int) -> list[str]:
         """A seeded per-worker plan; destructive kinds target run commits."""
         plan = FsFaultPlan(
             label=f"fs-chaos-w{index}",
@@ -535,206 +409,48 @@ def run_fs_chaos(args: argparse.Namespace, trace_root: Path, run_root: Path) -> 
                              kind="lost_rename", match="run-*"),
             ),
         )
-        return plan.save(plan_dir / f"plan-w{index}.json")
-
-    env = dict(os.environ)
-    package_root = Path(repro.__file__).resolve().parent.parent
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(package_root)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
-    )
-    spawned = 0
-
-    def spawn(faulted: bool) -> subprocess.Popen:
-        nonlocal spawned
-        spawned += 1
-        command = [sys.executable, "-m", "repro", "work", str(queue_root),
-                   "--run-store", str(run_root), "--trace-store", str(trace_root),
-                   "--worker-id", f"fschaos-w{spawned}", "--lease", str(args.lease),
-                   "--poll", "0.05"]
-        if faulted:
-            command += ["--fs-fault-plan", str(worker_plan(spawned))]
-        return subprocess.Popen(command, env=env)
-
-    def reap(procs: list[subprocess.Popen]) -> None:
-        for proc in procs:
-            proc.terminate()
-        reap_deadline = time.monotonic() + 10.0
-        stubborn = []
-        for proc in procs:
-            try:
-                proc.wait(timeout=max(0.0, reap_deadline - time.monotonic()))
-            except subprocess.TimeoutExpired:
-                stubborn.append(proc)
-        for proc in stubborn:
-            proc.kill()
-        for proc in stubborn:
-            proc.wait()
-
-    def drain(faulted: bool, deadline: float, label: str) -> bool:
-        """Spawn a fleet, loop until the queue drains or ``deadline``."""
-        t0 = time.perf_counter()
-        timed_out = False
-        procs = [spawn(faulted) for _ in range(args.procs)]
-        respawn_budget = args.procs * 4
-        try:
-            while True:
-                queue.expire_overdue()
-                counts = queue.counts()
-                if counts["pending"] + counts["leased"] == 0:
-                    break
-                if time.monotonic() > deadline:
-                    timed_out = True
-                    break
-                alive = []
-                for proc in procs:
-                    if proc.poll() is None:
-                        alive.append(proc)
-                    elif respawn_budget > 0:
-                        respawn_budget -= 1
-                        alive.append(spawn(faulted))
-                procs = alive
-                if not procs:
-                    break
-                time.sleep(0.05)
-        finally:
-            reap(procs)
-        print(f"{label}: drained={not timed_out} in {time.perf_counter() - t0:.2f}s")
-        return timed_out
+        return ["--fs-fault-plan", str(plan.save(plan_dir / f"plan-w{index}.json"))]
 
     overall_deadline = time.monotonic() + args.timeout
     # Phase 1 — faulted.  A torn commit can mark its job done, so the
     # queue may "drain" with missing effects; a phase-1 timeout is not
     # itself a failure as long as recovery heals everything in time.
-    drain(True, time.monotonic() + args.timeout * 0.6, "faulted drain")
+    flight.drain("faulted drain", flight.spawner("fschaos", worker_plan),
+                 respawn_budget=args.procs * 4,
+                 deadline=time.monotonic() + args.timeout * 0.6)
 
     # Phase 2 — the recovery playbook, exactly as an operator would run
     # it (`repro store scrub|repair` over every root, then re-offer).
-    store = RunStore(run_root)
-    scrubbed = store.scrub().quarantined + trace_store.scrub().quarantined
-    scrub_queue = queue.scrub()
-    scrubbed += scrub_queue.quarantined
-    store.repair()
-    trace_store.repair()
-    queue.repair()
-    queue.enqueue_all(jobs, engine_seed=ENGINE_SEED)  # idempotent re-offer
+    recovery = recover(flight.queue, flight.jobs, run_root, flight.trace_store,
+                       default_zoo(), engine_seed=ENGINE_SEED)
+    print(f"recovery: {recovery.quarantined} torn entries quarantined, "
+          f"{recovery.repended} jobs re-pended")
+    timed_out = flight.drain("healthy drain", flight.spawner("fsheal"),
+                             respawn_budget=args.procs * 4, deadline=overall_deadline)
 
-    resolve = policy_resolver()
-    soc_fp = xavier_nx_with_oakd().fingerprint()
-    zoo_fp = zoo.fingerprint()
-    keys: dict[str, RunKey] = {}
-    for job in jobs:
-        policy = resolve(job.policy_spec)
-        digest = job_digest(job.policy_spec, job.key[1])
-        keys[digest] = RunKey(policy.name, policy.fingerprint(), job.key[1],
-                              zoo_fp, soc_fp, ENGINE_SEED)
-    healed = 0
-    for digest, key in keys.items():
-        if store.load_metrics(key) is not None:
-            continue
-        healed += 1
-
-        def mutate(record: dict | None) -> dict | None:
-            if record is None or record.get("state") != "done":
-                return None
-            record["state"] = "pending"
-            record["lease"] = None
-            record["error"] = None
-            record["not_before"] = 0.0
-            return record
-
-        shards.update_entry(queue_root, digest, _job_file_name(digest), mutate)
-    print(f"recovery: {scrubbed} torn entries quarantined, {healed} jobs re-pended")
-
-    timed_out = drain(False, overall_deadline, "healthy drain")
-    check(not timed_out, f"queue not drained after {args.timeout:.0f}s")
-
-    counts = queue.counts()
-    check(counts["done"] == len(jobs) and counts["total"] == len(jobs),
-          f"lost jobs: {counts} != {len(jobs)} done")
-    check(counts.get("dead", 0) == 0,
-          f"{counts.get('dead', 0)} jobs dead-lettered by pure disk pressure")
-
-    check(len(store) == len(jobs),
-          f"run store holds {len(store)} entries for {len(jobs)} jobs")
-    final_scrub = store.scrub()
-    check(final_scrub.quarantined == 0 and not final_scrub.problems,
-          f"torn entries still servable after recovery: {final_scrub.problems}")
-
-    # Serial bit-equality: every committed run, frame for frame.
-    t0 = time.perf_counter()
-    for job in jobs:
-        digest = job_digest(job.policy_spec, job.key[1])
-        stored = store.load(keys[digest])
-        label = f"{job.policy_spec}/{job.scenario.name}"
-        if stored is None:
-            check(False, f"{label}: no committed run")
-            continue
-        trace = trace_store.load(job.scenario, zoo)
-        serial = run_policy(resolve(job.policy_spec), trace, engine_seed=ENGINE_SEED,
-                            fast=True)
-        check(stored.records == serial.records,
-              f"{label}: frame records diverge from serial")
-    print(f"serial bit-equality: {len(jobs)} runs verified in {time.perf_counter() - t0:.2f}s")
-
-    for label, audited in (("trace store", trace_store), ("run store", store),
-                           ("queue", queue)):
-        _, problems = audited.audit()
-        check(not problems, f"{label} audit: {problems}")
-
-    # Clean recovery: a warm in-process re-serve over the healed stores
-    # answers the whole mix without executing anything.
-    t0 = time.perf_counter()
-    with SweepService(
-        trace_store=TraceStore(trace_root),
-        run_store=RunStore(run_root),
-        workers=args.workers,
-    ) as warm:
-        for handle in warm.serve(requests):
-            handle.result()
-        check(warm.runs_executed == 0, f"warm re-serve executed {warm.runs_executed} runs")
-        check(warm.trace_builds == 0, f"warm re-serve built {warm.trace_builds} traces")
-        check(warm.corrupt_entries == 0, "warm re-serve hit corrupt entries")
-        check(not warm.degraded, "service still degraded after recovery")
-    print(f"warm re-serve: 0 runs, 0 trace builds in {time.perf_counter() - t0:.2f}s")
-
-    if failures:
-        print("\nFS-CHAOS LOADGEN FAILED:", file=sys.stderr)
-        for failure in failures:
-            print(f"  - {failure}", file=sys.stderr)
-        return 1
-    print(f"fs-chaos loadgen: all checks passed ({scrubbed} torn entries quarantined, "
-          f"{healed} jobs re-pended, 0 lost jobs, 0 dead-letters, 0 duplicate effects, "
-          "serial bit-equality, clean recovery)")
-    return 0
+    final_scrub = RunStore(run_root).scrub()
+    failures = [] if not (final_scrub.quarantined or final_scrub.problems) else [
+        f"torn entries still servable after recovery: {final_scrub.problems}"]
+    failures += flight.gates(timed_out)
+    return _verdict("fs-chaos", failures, f"{recovery.quarantined} torn entries "
+                    f"quarantined, {recovery.repended} jobs re-pended, 0 lost jobs, "
+                    "0 dead-letters, 0 duplicate effects, serial bit-equality, "
+                    "clean recovery")
 
 
-def run_http(args: argparse.Namespace, trace_root: Path, run_root: Path) -> int:
-    """The network tier under concurrent client load: real sockets, same gates.
-
-    Same seeded request mix as :func:`run_load`, but submitted to a live
-    :class:`~repro.service.SweepHTTPServer` on an ephemeral localhost
-    port by ``--clients`` concurrent stdlib HTTP clients, with every
-    result row reconstructed from the ndjson wire format.  Gates: zero
-    duplicate executions, zero corrupt entries, serial bit-equality of
-    the wire rows, a free warm re-serve across a full *server restart*,
-    and a deterministic admission probe (full server -> immediate 429 +
-    Retry-After; freed capacity -> 202).
-    """
-    import json
+def run_http(args: argparse.Namespace, mix, trace_root: Path, run_root: Path) -> int:
+    """``--http``: the mix over real sockets through the :mod:`repro.verify.wire`
+    client the ``http`` check uses, a warm re-serve across a server
+    restart, and the admission probe."""
     import urllib.error
-    import urllib.request
     from concurrent.futures import ThreadPoolExecutor
 
     from repro.data.scenario import register_scenario, scenario_by_name
     from repro.runtime.export import metrics_to_dict
-    from repro.service import ServiceBackend, SweepFrontend, serve_in_thread
+    from repro.service import SweepFrontend
+    from repro.verify.wire import admission_problem, get_json, serving, stream, submit
 
-    policies = tuple(p.strip() for p in args.policies.split(",") if p.strip())
-    scenarios = _pool_matrix(args.budget).scenarios()[: args.scenario_count]
-    if not policies or not scenarios:
-        print("empty policy or scenario pool", file=sys.stderr)
-        return 1
-    requests = overlapping_requests(policies, scenarios, count=args.requests, seed=args.seed)
+    policies, scenarios, requests = mix
     # Over the wire a request carries scenario *names*; make the generated
     # pool resolvable inside the (in-process) server's registry.
     for scenario in scenarios:
@@ -742,192 +458,89 @@ def run_http(args: argparse.Namespace, trace_root: Path, run_root: Path) -> int:
             scenario_by_name(scenario.name)
         except KeyError:
             register_scenario(scenario)
-
     failures: list[str] = []
 
-    def check(condition: bool, label: str) -> None:
-        if not condition:
-            failures.append(label)
+    def frontend(max_pending: int) -> SweepFrontend:
+        return SweepFrontend(ServiceBackend(_service(args, trace_root, run_root)),
+                             max_pending=max_pending, default_deadline_s=args.timeout)
 
     def drive(base: str, request) -> tuple[str, list[dict], dict]:
         """One client: POST the request, stream its rows, return them."""
-        body = json.dumps([{
+        [request_id] = submit(base, [{
             "policies": list(request.policies),
             "scenarios": [s.name for s in request.resolve_scenarios()],
             "id": request.request_id,
-        }]).encode("utf-8")
-        with urllib.request.urlopen(
-            urllib.request.Request(f"{base}/v1/sweeps", data=body),
-            timeout=args.timeout,
-        ) as resp:
-            request_id = json.load(resp)["request_ids"][0]
-        rows: list[dict] = []
-        summary: dict = {}
-        with urllib.request.urlopen(
-            f"{base}/v1/sweeps/{request_id}/results", timeout=args.timeout
-        ) as resp:
-            for line in resp:
-                if not line.strip():
-                    continue
-                record = json.loads(line)
-                if record.get("done"):
-                    summary = record
-                else:
-                    rows.append(record)
-        rows.sort(key=lambda r: (r["policy_spec"], r["scenario"]))
-        return request.request_id, rows, summary
+        }], args.timeout)
+        return (request.request_id, *stream(base, request_id, args.timeout))
 
-    def serve_round(label: str) -> tuple[dict[str, list[dict]], dict]:
+    def serve_round(label: str, expect_warm: bool) -> tuple[dict[str, list[dict]], dict]:
         """One server lifetime: serve the whole mix over real sockets."""
         t0 = time.perf_counter()
-        frontend = SweepFrontend(
-            ServiceBackend(SweepService(
-                trace_store=TraceStore(trace_root),
-                run_store=RunStore(run_root),
-                workers=args.workers,
-            )),
-            max_pending=args.max_pending,
-            default_deadline_s=args.timeout,
-        )
-        server = serve_in_thread(frontend)
-        base = f"http://127.0.0.1:{server.port}"
-        try:
+        with serving(frontend(args.max_pending)) as base:
             with ThreadPoolExecutor(max_workers=max(1, args.clients)) as clients:
                 outputs = list(clients.map(lambda r: drive(base, r), requests))
-            stats = json.load(urllib.request.urlopen(
-                f"{base}/v1/stores/stats", timeout=args.timeout))
-        finally:
-            server.shutdown()
-            server.server_close()
-            frontend.close()
+            stats = get_json(base, "/v1/stores/stats", args.timeout)
         rows_by_request: dict[str, list[dict]] = {}
         for request, (request_id, rows, summary) in zip(requests, outputs):
             cells = len(request.policies) * len(request.scenarios)
-            check(len(rows) == cells,
-                  f"{label} {request_id}: {len(rows)} rows for {cells} cells")
-            check(summary.get("state") == "done" and not summary.get("error"),
-                  f"{label} {request_id}: stream ended {summary}")
+            if len(rows) != cells:
+                failures.append(f"{label} {request_id}: {len(rows)} rows for {cells} cells")
+            if summary.get("state") != "done" or summary.get("error"):
+                failures.append(f"{label} {request_id}: stream ended {summary}")
             rows_by_request[request_id] = rows
         backend = stats["backend"]
-        check(stats["corrupt_entries"] == 0,
-              f"{label}: {stats['corrupt_entries']} corrupt store entries")
-        check(
-            backend["runs_executed"] + backend["run_store_hits"]
-            == backend["jobs_scheduled"],
-            f"{label} duplicate executions: {backend['runs_executed']} runs + "
-            f"{backend['run_store_hits']} hits != {backend['jobs_scheduled']} jobs",
-        )
+        failures.extend(_serve_failures(label, backend, stats["corrupt_entries"], expect_warm))
         print(f"{label}: {len(requests)} requests over {args.clients} socket clients -> "
               f"{backend['jobs_scheduled']} jobs, {backend['runs_executed']} runs, "
               f"{backend['run_store_hits']} run-store hits, "
               f"{backend['trace_builds']} trace builds in {time.perf_counter() - t0:.2f}s")
         return rows_by_request, backend
 
-    cold_rows, cold_backend = serve_round("http cold serve")
-    if args.expect_warm:
-        check(cold_backend["runs_executed"] == 0,
-              f"expected a warm serve but {cold_backend['runs_executed']} runs executed")
-        check(cold_backend["trace_builds"] == 0,
-              f"expected a warm serve but {cold_backend['trace_builds']} traces built")
-
+    cold_rows, _ = serve_round("http cold serve", args.expect_warm)
     # Warm re-serve across a full server restart: fresh service, fresh
     # socket, same on-disk stores — every wire row must come back
     # identical with zero executions and zero trace builds.
-    warm_rows, warm_backend = serve_round("http warm re-serve")
-    check(warm_backend["runs_executed"] == 0,
-          f"warm re-serve executed {warm_backend['runs_executed']} runs")
-    check(warm_backend["trace_builds"] == 0,
-          f"warm re-serve built {warm_backend['trace_builds']} traces")
-    check(warm_rows == cold_rows, "warm re-serve wire rows diverged from cold serve")
+    warm_rows, warm = serve_round("http warm re-serve", False)
+    failures += warm_failures("warm re-serve", warm["runs_executed"], warm["trace_builds"])
+    if warm_rows != cold_rows:
+        failures.append("warm re-serve wire rows diverged from cold serve")
 
     if not args.skip_serial_check:
-        from repro.runtime.metrics import aggregate
-
         t0 = time.perf_counter()
-        resolve = policy_resolver()
-        runner = ExperimentRunner(cache=TraceCache(default_zoo()))
+        serial, pairs = _serial_metrics()
         scenario_by = {s.name: s for s in scenarios}
-        serial: dict[tuple[str, str], dict] = {}
         checked = 0
         for request_id, rows in cold_rows.items():
             for row in rows:
                 pair = (row["policy_spec"], row["scenario"])
-                if pair not in serial:
-                    serial[pair] = metrics_to_dict(aggregate(
-                        runner.run(resolve(pair[0]), scenario_by[pair[1]])))
-                check(row["metrics"] == serial[pair],
-                      f"{request_id}: {pair} wire metrics diverge from serial run")
+                if row["metrics"] != metrics_to_dict(serial(pair[0], scenario_by[pair[1]])):
+                    failures.append(f"{request_id}: {pair} wire metrics diverge from serial run")
                 checked += 1
-        print(f"serial bit-equality: {checked} wire rows against {len(serial)} "
+        print(f"serial bit-equality: {checked} wire rows against {len(pairs)} "
               f"serial pairs in {time.perf_counter() - t0:.2f}s")
 
-    for label, store in (("trace store", TraceStore(trace_root)),
-                         ("run store", RunStore(run_root))):
-        _, problems = store.audit()
-        check(not problems, f"{label} audit: {problems}")
+    failures += audit_problems(traces=TraceStore(trace_root), runs=RunStore(run_root))
 
     # Deterministic admission probe: with max_pending=1 and one
     # un-streamed request holding the slot, the next submit must fail
     # fast with 429 + Retry-After; streaming the first frees the slot.
-    frontend = SweepFrontend(
-        ServiceBackend(SweepService(
-            trace_store=TraceStore(trace_root),
-            run_store=RunStore(run_root),
-            workers=args.workers,
-        )),
-        max_pending=1,
-        default_deadline_s=args.timeout,
-    )
-    server = serve_in_thread(frontend)
-    base = f"http://127.0.0.1:{server.port}"
-    probe = json.dumps([{
-        "policies": [policies[0]],
-        "scenarios": [scenarios[0].name],
-    }]).encode("utf-8")
-    try:
-        with urllib.request.urlopen(
-            urllib.request.Request(f"{base}/v1/sweeps", data=probe),
-            timeout=args.timeout,
-        ) as resp:
-            first_id = json.load(resp)["request_ids"][0]
-        t0 = time.perf_counter()
+    probe = [{"policies": [policies[0]], "scenarios": [scenarios[0].name]}]
+    with serving(frontend(1)) as base:
+        [first_id] = submit(base, probe, args.timeout)
+        problem = admission_problem(base, probe)
+        if problem:
+            failures.append(f"admission probe: {problem}")
+        stream(base, first_id, args.timeout)
         try:
-            urllib.request.urlopen(
-                urllib.request.Request(f"{base}/v1/sweeps", data=probe), timeout=30)
-            check(False, "admission probe: full server accepted a submit")
+            submit(base, probe, args.timeout)
         except urllib.error.HTTPError as exc:
-            rejected_in = time.perf_counter() - t0
-            check(exc.code == 429, f"admission probe: expected 429, got {exc.code}")
-            check(exc.headers.get("Retry-After") is not None,
-                  "admission probe: 429 without Retry-After")
-            check(rejected_in < 10.0,
-                  f"admission probe: 429 took {rejected_in:.1f}s (must not hang)")
-        with urllib.request.urlopen(
-            f"{base}/v1/sweeps/{first_id}/results", timeout=args.timeout
-        ) as resp:
-            for _line in resp:
-                pass
-        with urllib.request.urlopen(
-            urllib.request.Request(f"{base}/v1/sweeps", data=probe),
-            timeout=args.timeout,
-        ) as resp:
-            check(resp.status == 202, "admission probe: freed slot refused a submit")
-    finally:
-        server.shutdown()
-        server.server_close()
-        frontend.close()
+            failures.append(f"admission probe: freed slot refused a submit ({exc.code})")
     print("admission probe: full server -> immediate 429 + Retry-After, "
           "freed slot -> 202")
 
-    if failures:
-        print("\nHTTP LOADGEN FAILED:", file=sys.stderr)
-        for failure in failures:
-            print(f"  - {failure}", file=sys.stderr)
-        return 1
-    print("http loadgen: all checks passed (0 corrupt entries, 0 duplicate "
-          "executions, serial bit-equality of wire rows, free warm re-serve "
-          "across a server restart, deterministic 429 backpressure)")
-    return 0
+    return _verdict("http", failures, "0 corrupt entries, 0 duplicate executions, "
+                    "serial bit-equality of wire rows, free warm re-serve across a "
+                    "server restart, deterministic 429 backpressure")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -940,13 +553,16 @@ def main(argv: list[str] | None = None) -> int:
         runner = run_http
     else:
         runner = run_load
+    mix = _mix(args)
+    if mix is None:
+        return 1
 
     if args.trace_store is not None and args.run_store is not None:
-        return runner(args, Path(args.trace_store), Path(args.run_store))
+        return runner(args, mix, Path(args.trace_store), Path(args.run_store))
     with tempfile.TemporaryDirectory(prefix="repro-loadgen-") as tmp:
         trace_root = Path(args.trace_store) if args.trace_store else Path(tmp) / "traces"
         run_root = Path(args.run_store) if args.run_store else Path(tmp) / "runs"
-        return runner(args, trace_root, run_root)
+        return runner(args, mix, trace_root, run_root)
 
 
 if __name__ == "__main__":

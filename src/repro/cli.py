@@ -239,40 +239,21 @@ def _serve_requests(args: argparse.Namespace, jobs_path: str, workers: int) -> i
 
 
 def _worker_spawner(args: argparse.Namespace, queue_dir, *, extra_args=(), idle=False):
-    """A Popen factory for ``repro work`` subprocesses (feeds WorkerSupervisor).
+    """A ``repro work`` process factory over ``queue_dir`` (feeds WorkerSupervisor).
 
     ``idle=True`` passes ``--idle`` so workers poll an empty queue instead
     of exiting on drain — what a long-lived ``serve --http --procs`` fleet
     needs between requests.
     """
-    import itertools
-    import os
-    import subprocess
-    from pathlib import Path
+    from .service import WorkerSpawner
 
-    env = dict(os.environ)
-    package_root = Path(__file__).resolve().parent.parent
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(package_root)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
-    )
-    seq = itertools.count(1)
-
-    def spawn() -> subprocess.Popen:
-        command = [
-            sys.executable, "-m", "repro", "work", str(queue_dir),
-            "--run-store", args.run_store,
-            "--worker-id", f"serve-w{next(seq)}",
-            "--lease", str(args.lease),
-            "--max-attempts", str(args.max_attempts),
-        ]
-        if args.trace_store:
-            command += ["--trace-store", args.trace_store]
-        if idle:
-            command += ["--idle"]
-        command += list(extra_args)
-        return subprocess.Popen(command, env=env)
-
-    return spawn
+    options = ["--run-store", args.run_store, "--lease", str(args.lease),
+               "--max-attempts", str(args.max_attempts)]
+    if args.trace_store:
+        options += ["--trace-store", args.trace_store]
+    if idle:
+        options += ["--idle"]
+    return WorkerSpawner(queue_dir, [*options, *extra_args], prefix="serve")
 
 
 def _serve_procs(args: argparse.Namespace) -> int:
@@ -289,7 +270,7 @@ def _serve_procs(args: argparse.Namespace) -> int:
     import time
     from pathlib import Path
 
-    from .runtime.runstore import RunKey, RunStore
+    from .runtime.runstore import RunStore, make_run_key
     from .service import JobQueue, SweepRequest, decompose, load_jobs_file
 
     if args.run_store is None:
@@ -342,18 +323,7 @@ def _serve_procs(args: argparse.Namespace) -> int:
     timed_out = False
     interrupted = False
     try:
-        supervisor.start()
-        while True:
-            queue.expire_overdue()
-            if queue.drained():
-                break
-            if time.monotonic() > deadline:
-                timed_out = True
-                break
-            supervisor.tick()
-            if supervisor.alive == 0:
-                break
-            time.sleep(0.1)
+        timed_out = supervisor.drain(queue, deadline)
     except KeyboardInterrupt:
         # Ctrl-C mid-drain must still reach the reap below: workers
         # release their current lease on SIGTERM, so an interrupted
@@ -390,7 +360,6 @@ def _serve_procs(args: argparse.Namespace) -> int:
 
     store = RunStore(args.run_store)
     resolve = _policy_resolver(ctx, args.objective)
-    zoo_fp = ctx.zoo.fingerprint()
     soc_fp = ctx.soc.fingerprint()
     policies: dict[str, object] = {}
     try:
@@ -401,9 +370,9 @@ def _serve_procs(args: argparse.Namespace) -> int:
                     policies[spec] = resolve(spec)
                 policy = policies[spec]
                 for scenario in request.scenarios:
-                    key = RunKey(policy.name, policy.fingerprint(), scenario.fingerprint(),
-                                 zoo_fp, soc_fp, ctx.engine_seed)
-                    metrics = store.load_metrics(key)
+                    key = make_run_key(policy, scenario.fingerprint(), ctx.zoo, soc_fp,
+                                       ctx.engine_seed)
+                    metrics = None if key is None else store.load_metrics(key)
                     if metrics is None:
                         print(f"run store has no result for {spec} x {scenario.name} "
                               f"although the queue drained: fingerprint drift between "

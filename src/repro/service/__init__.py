@@ -55,7 +55,7 @@ from .jobs import (
     policy_resolver,
     requests_from_payload,
 )
-from .procs import WorkerSupervisor
+from .procs import WorkerSpawner, WorkerSupervisor
 from .queue import JOB_STATES, JobQueue, Lease, job_digest
 from .service import SweepHandle, SweepService, overlapping_requests
 from .worker import QueueWorker, WorkerHooks, WorkerKilled, WorkerTerminated
@@ -76,6 +76,7 @@ __all__ = [
     "load_jobs_file",
     "policy_resolver",
     "requests_from_payload",
+    "WorkerSpawner",
     "WorkerSupervisor",
     "JOB_STATES",
     "JobQueue",

@@ -17,6 +17,11 @@ one:
 * **account** — ``spawned``/``worker_deaths`` counters for the caller's
   summary line.
 
+:class:`WorkerSpawner` is the one ``repro work`` process factory and
+:meth:`WorkerSupervisor.drain` the one supervision loop over a
+:class:`~repro.service.JobQueue`, shared by ``repro serve --procs`` and
+the chaos load generator.
+
 Workers handle SIGTERM by releasing their current lease back to the
 queue (see :func:`repro.service.worker.run`), so a reaped fleet leaves
 zero held leases; the SIGKILL fallback leans on lease expiry like any
@@ -26,9 +31,50 @@ other crash.
 from __future__ import annotations
 
 import contextlib
+import os
 import subprocess
+import sys
 import time
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
+from pathlib import Path
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    from .queue import JobQueue
+
+
+class WorkerSpawner:
+    """A ``python -m repro work`` process factory for :class:`WorkerSupervisor`.
+
+    Worker ``n`` (from 1) runs ``repro work QUEUE_DIR *options --worker-id
+    {prefix}-w{n} *per_worker(n)`` with this package's root leading
+    ``PYTHONPATH``, so children import the same code as the parent.
+    ``procs`` keeps every process started, in spawn order.
+    """
+
+    def __init__(
+        self,
+        queue_dir: str | Path,
+        options: Sequence[str],
+        *,
+        prefix: str,
+        per_worker: Callable[[int], Sequence[str]] = lambda index: (),
+    ) -> None:
+        self.command = [sys.executable, "-m", "repro", "work", str(queue_dir), *options]
+        self.prefix = prefix
+        self.per_worker = per_worker
+        inherited = [os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else []
+        package_root = str(Path(__file__).resolve().parents[2])
+        self.env = {**os.environ, "PYTHONPATH": os.pathsep.join([package_root, *inherited])}
+        self.procs: list[subprocess.Popen] = []
+
+    def __call__(self) -> subprocess.Popen:
+        index = len(self.procs) + 1
+        self.procs.append(subprocess.Popen(
+            [*self.command, "--worker-id", f"{self.prefix}-w{index}", *self.per_worker(index)],
+            env=self.env,
+        ))
+        return self.procs[-1]
 
 
 class WorkerSupervisor:
@@ -84,6 +130,38 @@ class WorkerSupervisor:
     def alive(self) -> int:
         """Workers currently running (after the last tick/reap)."""
         return sum(1 for proc in self._procs if proc.poll() is None)
+
+    def drain(
+        self,
+        queue: JobQueue,
+        deadline: float,
+        *,
+        poll: float = 0.1,
+        on_tick: Callable[[dict[str, int]], None] | None = None,
+    ) -> bool:
+        """Start the fleet and supervise it until ``queue`` has nothing in flight.
+
+        Each pass expires overdue leases (a dead worker's job migrates on
+        the supervisor's schedule, not at the next claim), hands the state
+        counts to ``on_tick``, and respawns within budget.  Returns True
+        when ``deadline`` (a ``time.monotonic()`` value) passed first;
+        False once the queue drained or every worker is gone with the
+        budget spent.  Never reaps: callers do that in a ``finally``.
+        """
+        self.start()
+        while True:
+            queue.expire_overdue()
+            counts = queue.counts()
+            if counts["pending"] + counts["leased"] == 0:
+                return False
+            if time.monotonic() > deadline:
+                return True
+            if on_tick is not None:
+                on_tick(counts)
+            self.tick()
+            if not self.alive:
+                return False
+            time.sleep(poll)
 
     def _spawn_one(self) -> subprocess.Popen:
         self.spawned += 1

@@ -11,7 +11,8 @@ and a killed worker loses nothing.
 **Lifecycle.**  A job record moves ``pending -> leased -> done``; failure
 paths are ``leased -> pending`` (retry with deterministic backoff) and
 ``leased/pending -> dead`` (attempts exhausted, dead-letter quarantine,
-recoverable via :meth:`JobQueue.requeue_dead`).
+recoverable via :meth:`JobQueue.requeue_dead`); a ``done`` job whose
+committed effect went missing is re-pended by :meth:`JobQueue.repend_done`.
 
 **Leases.**  A worker claims a job by writing a lease — owner id, random
 nonce, and a wall-clock deadline — under the shard's fcntl lock, and
@@ -49,7 +50,7 @@ import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from collections.abc import Callable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 
 from ..data.scenario import Scenario, scenario_from_dict, scenario_to_dict
 from ..util import jsonsafe
@@ -573,15 +574,37 @@ class JobQueue:
                     record = self._read_record_locked(shard, path)
                     if record is None or record["state"] != "dead":
                         continue
-                    record["state"] = "pending"
                     record["attempts"] = 0
-                    record["not_before"] = 0.0
-                    record["lease"] = None
-                    record["error"] = None
-                    self._log_transition(record, "pending", "dead-letter requeued", now)
-                    self._write_record_locked(shard, path.name, record)
+                    self._repend_locked(shard, path.name, record, "dead-letter requeued", now)
                     requeued += 1
         return requeued
+
+    def repend_done(self, job_ids: Iterable[str]) -> int:
+        """Return the named ``done`` jobs to pending; count re-pended.
+
+        The recovery step for a job marked done whose committed effect
+        was torn or lost afterwards: no lease is outstanding, so expiry
+        can never heal it.  Records in any other state are left alone,
+        which makes a repeated call a no-op.
+        """
+        now = self._now()
+        repended = 0
+        for job_id in job_ids:
+            shard = shards.shard_dir(self.root, job_id)
+            with shards.shard_lock(shard):
+                name = _job_file_name(job_id)
+                record = self._read_record_locked(shard, shard / name)
+                if record is None or record["state"] != "done":
+                    continue
+                self._repend_locked(shard, name, record, "re-pended: committed effect missing", now)
+                repended += 1
+        return repended
+
+    def _repend_locked(self, shard: Path, name: str, record: dict, detail: str, now: float) -> None:
+        """Make ``record`` claimable at once and write it (shard lock held)."""
+        record.update(state="pending", not_before=0.0, lease=None, error=None)
+        self._log_transition(record, "pending", detail, now)
+        self._write_record_locked(shard, name, record)
 
     def expire_overdue(self) -> int:
         """Sweep every shard for overdue leases (crash recovery on demand).

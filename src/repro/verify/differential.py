@@ -578,6 +578,23 @@ def check_service_equivalence(
     return _ok("service")
 
 
+def _queue_sweep_check(
+    name: str, sweep, trace: ScenarioTrace, zoo: ModelZoo, engine_seed: int
+) -> CheckResult:
+    """Drain this scenario's unit jobs through a fault ``sweep``; pass = its outcome passed."""
+    specs = _service_specs(trace.model_names())
+    if not specs:
+        return _fail(name, "trace covers no models a queue policy could run")
+    with tempfile.TemporaryDirectory(prefix=f"repro-{name}-") as tmp:
+        outcome = sweep(
+            [trace.scenario], specs, Path(tmp), engine_seed=engine_seed, zoo=zoo,
+            prebuilt=[trace],
+        )
+    if not outcome.passed:
+        return _fail(name, "; ".join(outcome.failures()))
+    return _ok(name)
+
+
 def check_fault_tolerance(
     trace: ScenarioTrace,
     zoo: ModelZoo,
@@ -597,21 +614,7 @@ def check_fault_tolerance(
     """
     from .faults import run_fault_sweep
 
-    specs = _service_specs(trace.model_names())
-    if not specs:
-        return _fail("faults", "trace covers no models a queue policy could run")
-    with tempfile.TemporaryDirectory(prefix="repro-faults-") as tmp:
-        outcome = run_fault_sweep(
-            [trace.scenario],
-            specs,
-            Path(tmp),
-            engine_seed=engine_seed,
-            zoo=zoo,
-            prebuilt=[trace],
-        )
-    if not outcome.passed:
-        return _fail("faults", "; ".join(outcome.failures()))
-    return _ok("faults")
+    return _queue_sweep_check("faults", run_fault_sweep, trace, zoo, engine_seed)
 
 
 def check_fs_fault_tolerance(
@@ -634,21 +637,7 @@ def check_fs_fault_tolerance(
     """
     from .fsfaults import run_fsfault_sweep
 
-    specs = _service_specs(trace.model_names())
-    if not specs:
-        return _fail("fsfaults", "trace covers no models a queue policy could run")
-    with tempfile.TemporaryDirectory(prefix="repro-fsfaults-") as tmp:
-        outcome = run_fsfault_sweep(
-            [trace.scenario],
-            specs,
-            Path(tmp),
-            engine_seed=engine_seed,
-            zoo=zoo,
-            prebuilt=[trace],
-        )
-    if not outcome.passed:
-        return _fail("fsfaults", "; ".join(outcome.failures()))
-    return _ok("fsfaults")
+    return _queue_sweep_check("fsfaults", run_fsfault_sweep, trace, zoo, engine_seed)
 
 
 def check_http_equivalence(
@@ -671,20 +660,12 @@ def check_http_equivalence(
     a full restart — re-serves identical rows with zero runs executed
     and zero traces built.
     """
-    import json
-    import urllib.error
-    import urllib.request
-
     from ..data.scenario import register_scenario, scenario_by_name
     from ..runtime.export import metrics_to_dict
     from ..runtime.metrics import aggregate
-    from ..service import (
-        ServiceBackend,
-        SweepFrontend,
-        SweepService,
-        policy_resolver,
-        serve_in_thread,
-    )
+    from ..service import ServiceBackend, SweepFrontend, SweepService, policy_resolver
+    from .drain import warm_failures
+    from .wire import admission_problem, get_json, serving, stream, submit
 
     specs = _service_specs(trace.model_names())
     if not specs:
@@ -709,10 +690,10 @@ def check_http_equivalence(
         ))
         for spec in specs
     }
-    payload = json.dumps({"requests": [
+    payload = {"requests": [
         {"policies": list(specs), "scenarios": [name], "id": "wire-0"},
         {"policies": list(specs[:1]), "scenarios": [name], "id": "wire-1"},
-    ]}).encode("utf-8")
+    ]}
 
     def serve_round(tmp: Path) -> tuple[list[list[dict]], dict, str | None]:
         """One server lifetime: submit, probe admission, stream, stat."""
@@ -727,53 +708,20 @@ def check_http_equivalence(
             max_pending=2,
             default_deadline_s=120.0,
         )
-        server = serve_in_thread(frontend)
-        base = f"http://127.0.0.1:{server.port}"
-        try:
-            with urllib.request.urlopen(
-                urllib.request.Request(f"{base}/v1/sweeps", data=payload), timeout=60
-            ) as resp:
-                ids = json.load(resp)["request_ids"]
+        with serving(frontend) as base:
+            ids = submit(base, payload, timeout=60)
             # Both requests hold the 2-slot admission table: the next
             # submit must be a prompt, typed rejection.
-            try:
-                urllib.request.urlopen(
-                    urllib.request.Request(f"{base}/v1/sweeps", data=payload),
-                    timeout=30,
-                )
-                return [], {}, "full admission table accepted a submit"
-            except urllib.error.HTTPError as exc:
-                if exc.code != 429:
-                    return [], {}, f"expected 429 from a full server, got {exc.code}"
-                if exc.headers.get("Retry-After") is None:
-                    return [], {}, "429 rejection carried no Retry-After header"
+            problem = admission_problem(base, payload)
+            if problem:
+                return [], {}, problem
             rows_per_request = []
             for request_id in ids:
-                rows = []
-                with urllib.request.urlopen(
-                    f"{base}/v1/sweeps/{request_id}/results", timeout=120
-                ) as resp:
-                    for line in resp:
-                        if line.strip():
-                            record = json.loads(line)
-                            if record.get("done"):
-                                if record.get("error"):
-                                    return [], {}, (
-                                        f"{request_id} stream failed: {record['error']}"
-                                    )
-                            else:
-                                rows.append(record)
-                # Rows stream in completion order (nondeterministic under
-                # concurrency); compare them as ordered sets of cells.
-                rows.sort(key=lambda r: (r["policy_spec"], r["scenario"]))
+                rows, summary = stream(base, request_id, timeout=120)
+                if summary.get("error"):
+                    return [], {}, f"{request_id} stream failed: {summary['error']}"
                 rows_per_request.append(rows)
-            with urllib.request.urlopen(f"{base}/v1/stores/stats", timeout=60) as resp:
-                stats = json.load(resp)
-            return rows_per_request, stats, None
-        finally:
-            server.shutdown()
-            server.server_close()
-            frontend.close()
+            return rows_per_request, get_json(base, "/v1/stores/stats", timeout=60), None
 
     with tempfile.TemporaryDirectory(prefix="repro-http-") as tmp_name:
         tmp = Path(tmp_name)
@@ -818,13 +766,10 @@ def check_http_equivalence(
         )
     if cold_stats["corrupt_entries"]:
         return _fail("http", f"{cold_stats['corrupt_entries']} corrupt store entries")
-    warm_backend = warm_stats["backend"]
-    if warm_backend["runs_executed"] or warm_backend["trace_builds"]:
-        return _fail(
-            "http",
-            f"warm restart re-serve cost {warm_backend['runs_executed']} runs / "
-            f"{warm_backend['trace_builds']} trace builds (expected 0 / 0)",
-        )
+    warm = warm_stats["backend"]
+    problems = warm_failures("warm restart re-serve", warm["runs_executed"], warm["trace_builds"])
+    if problems:
+        return _fail("http", "; ".join(problems))
     if warm_rows != cold_rows:
         return _fail("http", "warm restart wire rows diverged from the cold serve")
     return _ok("http")

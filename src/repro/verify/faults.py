@@ -39,15 +39,9 @@ from collections.abc import Sequence
 
 from ..data.scenario import Scenario
 from ..models.zoo import ModelZoo, default_zoo
-from ..runtime.metrics import aggregate
-from ..runtime.runner import run_policy
-from ..runtime.runstore import RunKey, RunStore
-from ..runtime.store import TraceStore
 from ..runtime.trace import ScenarioTrace
-from ..service.jobs import UnitJob, policy_resolver
-from ..service.queue import JobQueue, job_digest
 from ..service.worker import QueueWorker, WorkerHooks, WorkerKilled
-from ..sim.soc import xavier_nx_with_oakd
+from .drain import DrainOutcome, QueueRig
 
 FAULT_PLAN_SCHEMA_VERSION = 1
 
@@ -261,55 +255,28 @@ class ProcessFaultHooks(FaultHooks):
 
 
 @dataclass
-class FaultOutcome:
-    """Everything :func:`run_fault_sweep` can assert about a drained queue."""
+class FaultOutcome(DrainOutcome):
+    """Everything :func:`run_fault_sweep` can assert about a drained queue.
 
-    job_count: int
-    lost_jobs: list[str] = field(default_factory=list)
-    dead_jobs: list[str] = field(default_factory=list)
-    run_entries: int = 0
-    expected_entries: int = 0
-    corrupt_quarantined: int = 0
-    serial_mismatches: list[str] = field(default_factory=list)
+    The shared drain audit (:class:`~repro.verify.drain.DrainOutcome`)
+    plus the plan's coverage: which kinds fired, and how many workers
+    were spawned and killed.
+    """
+
     fired: dict[str, int] = field(default_factory=dict)
     required_kinds: tuple[str, ...] = ()
     workers_spawned: int = 0
     workers_killed: int = 0
-    audit_problems: list[str] = field(default_factory=list)
-    queue_stats: dict[str, int] = field(default_factory=dict)
-    timed_out: bool = False
 
     def failures(self) -> list[str]:
         """Every violated contract clause, human-readable; empty = pass."""
-        problems: list[str] = []
-        if self.timed_out:
-            problems.append("sweep timed out before the queue drained")
-        if self.lost_jobs:
-            problems.append(f"{len(self.lost_jobs)} jobs lost (not done): {self.lost_jobs}")
-        if self.dead_jobs:
-            problems.append(f"{len(self.dead_jobs)} jobs dead-lettered: {self.dead_jobs}")
-        if self.run_entries != self.expected_entries:
-            problems.append(
-                f"{self.run_entries} run-store entries for {self.expected_entries} "
-                f"unique jobs (duplicate or missing committed effects)"
-            )
-        if self.serial_mismatches:
-            problems.append(
-                f"{len(self.serial_mismatches)} runs diverge from serial: "
-                f"{self.serial_mismatches}"
-            )
+        problems = super().failures()
         for kind in self.required_kinds:
             if not self.fired.get(kind):
                 problems.append(f"planned fault kind {kind!r} never fired")
         if self.fired.get("torn") and not self.corrupt_quarantined:
             problems.append("torn writes were injected but no corrupt entry was quarantined")
-        if self.audit_problems:
-            problems.append(f"store audits found: {self.audit_problems}")
         return problems
-
-    @property
-    def passed(self) -> bool:
-        return not self.failures()
 
 
 # ------------------------------------------------------------------ sweep
@@ -335,13 +302,10 @@ def run_fault_sweep(
 ) -> FaultOutcome:
     """Drain ``specs`` x ``scenarios`` through a fault-injected worker fleet.
 
-    Thread-mode: each "worker" is a thread with its own queue/store
-    handles (nothing shared in memory but the hooks — the coordination
-    surface is the filesystem, as it would be between processes), killed
-    via :class:`~repro.service.worker.WorkerKilled`.  A supervisor keeps
-    ``workers`` alive, replacing the dead up to ``worker_cap`` spawns,
-    until the queue drains or ``timeout`` passes.  Returns a
-    :class:`FaultOutcome`; callers assert :attr:`FaultOutcome.passed`.
+    Thread-mode (:meth:`~repro.verify.drain.QueueRig.drain_threads`):
+    ``workers`` threads stay alive, the killed replaced up to
+    ``worker_cap`` spawns, until the queue drains or ``timeout`` passes.
+    Callers assert :attr:`FaultOutcome.passed`.
 
     Short leases and backoffs are the default because the harness's
     wall-clock cost is dominated by waiting out lease expiry; correctness
@@ -349,143 +313,26 @@ def run_fault_sweep(
     """
     if plan is None:
         plan = fault_plan_for_check()
-    if zoo is None:
-        zoo = default_zoo()
-    root = Path(root)
-    queue_root = root / "queue"
-    trace_root = root / "traces"
-    run_root = root / "runs"
-
-    trace_store = TraceStore(trace_root)
-    built = {trace.scenario.fingerprint(): trace for trace in prebuilt}
-    for scenario in scenarios:
-        trace = built.get(scenario.fingerprint())
-        if trace is None:
-            trace = ScenarioTrace.build(scenario, zoo)
-        trace_store.save(trace, zoo)
-
-    def make_queue() -> JobQueue:
-        return JobQueue(
-            queue_root,
-            lease_duration=lease_duration,
-            max_attempts=max_attempts,
-            backoff_base=backoff_base,
-            backoff_cap=backoff_cap,
-        )
-
-    master = make_queue()
-    jobs = [UnitJob(policy_spec=spec, scenario=s) for spec in specs for s in scenarios]
-    master.enqueue_all(jobs, engine_seed=engine_seed)
-    unique_jobs = {job_digest(j.policy_spec, j.key[1]): j for j in jobs}
+    rig = QueueRig(
+        root, zoo if zoo is not None else default_zoo(), poll_interval=poll_interval,
+        lease_duration=lease_duration, max_attempts=max_attempts,
+        backoff_base=backoff_base, backoff_cap=backoff_cap,
+    )
+    jobs = rig.enqueue(scenarios, specs, prebuilt, engine_seed)
 
     hooks = FaultHooks(plan)
-    fleet: list[QueueWorker] = []
-    deaths: list[str] = []
-    fleet_lock = threading.Lock()
-
-    def run_worker(worker_id: str) -> None:
-        worker = QueueWorker(
-            make_queue(),
-            run_store=RunStore(run_root),
-            trace_store=TraceStore(trace_root),
-            zoo=zoo,
-            worker_id=worker_id,
-            hooks=hooks,
-            poll_interval=poll_interval,
-        )
-        with fleet_lock:
-            fleet.append(worker)
-        try:
-            worker.drain()
-        except WorkerKilled:
-            with fleet_lock:
-                deaths.append(worker_id)
-
-    deadline = time.monotonic() + timeout
-    live: dict[str, threading.Thread] = {}
-    spawned = 0
-    timed_out = False
-    while True:
-        for worker_id in [w for w, t in live.items() if not t.is_alive()]:
-            del live[worker_id]
-        if master.drained():
-            break
-        if time.monotonic() >= deadline:
-            timed_out = True
-            break
-        while len(live) < workers and spawned < worker_cap:
-            worker_id = f"w{spawned}"
-            spawned += 1
-            thread = threading.Thread(
-                target=run_worker, args=(worker_id,), name=worker_id, daemon=True
-            )
-            live[worker_id] = thread
-            thread.start()
-        if not live and spawned >= worker_cap:
-            break  # the whole fleet died and the cap forbids replacements
-        time.sleep(0.01)
-    for thread in live.values():
-        thread.join(timeout=max(5.0, lease_duration * 4))
+    fleet, deaths, timed_out = rig.drain_threads(
+        workers, time.monotonic() + timeout, "w", hooks=hooks, cap=worker_cap
+    )
 
     # ------------------------------------------------------------- audit
-    with fleet_lock:
-        kill_count = len(deaths)
     outcome = FaultOutcome(
-        job_count=len(unique_jobs),
+        **vars(rig.audit(jobs, engine_seed)),
         fired=dict(hooks.fired),
         required_kinds=plan.required,
-        workers_spawned=spawned,
-        workers_killed=kill_count,
-        queue_stats=master.stats(),
-        timed_out=timed_out,
+        workers_spawned=len(fleet),
+        workers_killed=len(deaths),
     )
-    states = {record["job_id"]: record["state"] for record in master.records()}
-    for digest in unique_jobs:
-        state = states.get(digest)
-        if state == "dead":
-            outcome.dead_jobs.append(digest[:12])
-        elif state != "done":
-            outcome.lost_jobs.append(f"{digest[:12]}={state}")
-
-    audit_store = RunStore(run_root)
-    outcome.run_entries = len(audit_store)
-    with fleet_lock:
-        outcome.corrupt_quarantined = sum(w.run_store.corrupt_entries for w in fleet)
-    outcome.corrupt_quarantined += audit_store.corrupt_entries
-
-    resolve = policy_resolver()
-    soc_fp = xavier_nx_with_oakd().fingerprint()
-    expected = 0
-    for job in unique_jobs.values():
-        policy = resolve(job.policy_spec)
-        try:
-            fingerprint = policy.fingerprint()
-        except NotImplementedError:
-            continue  # not committable; the queue dead-letters these loudly
-        expected += 1
-        key = RunKey(
-            policy_name=policy.name,
-            policy_fingerprint=fingerprint,
-            scenario_fingerprint=job.key[1],
-            zoo_fingerprint=zoo.fingerprint(),
-            soc_fingerprint=soc_fp,
-            engine_seed=engine_seed,
-        )
-        stored = audit_store.load(key)
-        label = f"{job.policy_spec}/{job.scenario.name}"
-        if stored is None:
-            outcome.serial_mismatches.append(f"{label}: no committed run")
-            continue
-        trace = trace_store.load(job.scenario, zoo)
-        serial = run_policy(
-            resolve(job.policy_spec), trace, engine_seed=engine_seed, fast=True
-        )
-        if stored.records != serial.records:
-            outcome.serial_mismatches.append(f"{label}: frame records diverge from serial")
-        elif audit_store.load_metrics(key) != aggregate(serial):
-            outcome.serial_mismatches.append(f"{label}: metrics diverge from serial")
-    outcome.expected_entries = expected
-
-    for label, (_, problems) in (("runs", audit_store.audit()), ("queue", master.audit())):
-        outcome.audit_problems.extend(f"{label}: {p}" for p in problems)
+    outcome.timed_out = timed_out
+    outcome.corrupt_quarantined += sum(w.run_store.corrupt_entries for w in fleet)
     return outcome

@@ -20,12 +20,9 @@ degraded-mode contract:
   :func:`~repro.runtime.runner.run_policy` of the same job;
 * **full recovery** — no root is still degraded when the sweep ends.
 
-The recovery discipline between the faulted drain and the audit is the
-documented operational playbook, exercised end to end: probe each root
-(space returned), scrub both stores and the queue (quarantine torn
-entries), repair shard indexes, re-offer the job set idempotently, and
-re-pend any job whose committed effect went missing — then drain again
-on a healthy disk.
+Between the faulted drain and the audit runs the documented operational
+playbook, :func:`repro.verify.drain.recover`; then a healthy fleet
+drains again.
 
 The ``fsfaults`` differential check replays a fixed plan over a tiny
 matrix; ``loadgen --fs-chaos`` runs the same idea against a live
@@ -34,26 +31,18 @@ multi-process fleet.
 
 from __future__ import annotations
 
-import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import ClassVar
 from collections.abc import Sequence
 
 from ..data.scenario import Scenario
 from ..models.zoo import ModelZoo, default_zoo
 from ..runtime import iolayer
 from ..runtime.iolayer import FsFaultEvent, FsFaultPlan
-from ..runtime.metrics import aggregate
-from ..runtime.runner import run_policy
-from ..runtime.runstore import RunKey, RunStore
-from ..runtime.store import TraceStore
 from ..runtime.trace import ScenarioTrace
-from ..service.jobs import UnitJob, policy_resolver
-from ..service.queue import JobQueue, _job_file_name, job_digest
-from ..service.worker import QueueWorker
-from ..sim.soc import xavier_nx_with_oakd
-from ..runtime import shards
+from .drain import DrainOutcome, QueueRig, recover
 
 
 def fs_fault_plan_for_check() -> FsFaultPlan:
@@ -84,45 +73,28 @@ def fs_fault_plan_for_check() -> FsFaultPlan:
 
 
 @dataclass
-class FsFaultOutcome:
-    """Everything :func:`run_fsfault_sweep` can assert about the aftermath."""
+class FsFaultOutcome(DrainOutcome):
+    """Everything :func:`run_fsfault_sweep` can assert about the aftermath.
 
-    job_count: int
+    The shared drain audit (:class:`~repro.verify.drain.DrainOutcome`)
+    plus the disk-fault contract: the plan fired, torn writes were
+    quarantined, and no root is still degraded after recovery.
+    """
+
     faults_fired: int = 0
     expect_torn: bool = False
-    lost_jobs: list[str] = field(default_factory=list)
-    dead_jobs: list[str] = field(default_factory=list)
-    run_entries: int = 0
-    expected_entries: int = 0
-    corrupt_quarantined: int = 0
     healed_jobs: int = 0
     degraded_refusals: int = 0
     io_errors: int = 0
     still_degraded: list[str] = field(default_factory=list)
-    serial_mismatches: list[str] = field(default_factory=list)
-    audit_problems: list[str] = field(default_factory=list)
-    queue_stats: dict[str, int] = field(default_factory=dict)
-    timed_out: bool = False
+
+    dead_letter_cause: ClassVar[str] = " by pure disk pressure"
 
     def failures(self) -> list[str]:
         """Every violated contract clause, human-readable; empty = pass."""
-        problems: list[str] = []
-        if self.timed_out:
-            problems.append("sweep timed out before the queue drained")
+        problems = super().failures()
         if not self.faults_fired:
             problems.append("the fault plan never fired (harness misses the seam)")
-        if self.lost_jobs:
-            problems.append(f"{len(self.lost_jobs)} jobs lost (not done): {self.lost_jobs}")
-        if self.dead_jobs:
-            problems.append(
-                f"{len(self.dead_jobs)} jobs dead-lettered by pure disk "
-                f"pressure: {self.dead_jobs}"
-            )
-        if self.run_entries != self.expected_entries:
-            problems.append(
-                f"{self.run_entries} run-store entries for {self.expected_entries} "
-                f"unique jobs (duplicate or missing committed effects)"
-            )
         if self.expect_torn and not self.corrupt_quarantined:
             problems.append(
                 "torn/partial writes were injected but nothing was quarantined"
@@ -131,73 +103,7 @@ class FsFaultOutcome:
             problems.append(
                 f"roots still degraded after recovery: {self.still_degraded}"
             )
-        if self.serial_mismatches:
-            problems.append(
-                f"{len(self.serial_mismatches)} runs diverge from serial: "
-                f"{self.serial_mismatches}"
-            )
-        if self.audit_problems:
-            problems.append(f"store audits found: {self.audit_problems}")
         return problems
-
-    @property
-    def passed(self) -> bool:
-        return not self.failures()
-
-
-def _drain_with_fleet(
-    queue_root: Path,
-    trace_root: Path,
-    run_root: Path,
-    *,
-    zoo: ModelZoo,
-    workers: int,
-    lease_duration: float,
-    max_attempts: int,
-    backoff_base: float,
-    backoff_cap: float,
-    poll_interval: float,
-    deadline: float,
-    tag: str,
-) -> tuple[list[QueueWorker], bool]:
-    """Run ``workers`` in-process drain loops to completion; (fleet, timed_out).
-
-    Each worker gets its own queue/store handles — the only shared
-    surface is the filesystem (and the process-wide fault plan), exactly
-    as it would be between real worker processes.
-    """
-    fleet: list[QueueWorker] = []
-    threads: list[threading.Thread] = []
-    for index in range(workers):
-        worker = QueueWorker(
-            JobQueue(
-                queue_root,
-                lease_duration=lease_duration,
-                max_attempts=max_attempts,
-                backoff_base=backoff_base,
-                backoff_cap=backoff_cap,
-            ),
-            run_store=RunStore(run_root),
-            trace_store=TraceStore(trace_root),
-            zoo=zoo,
-            worker_id=f"{tag}{index}",
-            poll_interval=poll_interval,
-        )
-        fleet.append(worker)
-        thread = threading.Thread(target=worker.drain, name=f"{tag}{index}", daemon=True)
-        threads.append(thread)
-        thread.start()
-    timed_out = False
-    for thread in threads:
-        thread.join(timeout=max(0.0, deadline - time.monotonic()))
-        if thread.is_alive():
-            timed_out = True
-    if timed_out:
-        for worker in fleet:
-            worker.stop()
-        for thread in threads:
-            thread.join(timeout=1.0)
-    return fleet, timed_out
 
 
 def run_fsfault_sweep(
@@ -221,181 +127,57 @@ def run_fsfault_sweep(
 
     Phase 1 (faulted): traces are pre-seeded, the plan is armed, and the
     fleet drains the queue while writes fail, tear, and vanish on
-    schedule.  Phase 2 (recovery): the plan is disarmed ("space
-    returned"), each root is probed, stores and queue are scrubbed and
-    repaired, the job set is re-offered idempotently, jobs whose
-    committed effect is missing are re-pended, and a fresh fleet drains
-    the remainder on a healthy disk.  The returned
-    :class:`FsFaultOutcome` carries the full audit; callers assert
-    :attr:`FsFaultOutcome.passed`.
+    schedule.  Phase 2: the plan is disarmed ("space returned"), the
+    recovery playbook runs, and a fresh fleet drains the remainder on a
+    healthy disk.  Callers assert :attr:`FsFaultOutcome.passed`.
     """
     if plan is None:
         plan = fs_fault_plan_for_check()
-    if zoo is None:
-        zoo = default_zoo()
-    root = Path(root)
-    queue_root = root / "queue"
-    trace_root = root / "traces"
-    run_root = root / "runs"
-
+    rig = QueueRig(
+        root, zoo if zoo is not None else default_zoo(), poll_interval=poll_interval,
+        lease_duration=lease_duration, max_attempts=max_attempts,
+        backoff_base=backoff_base, backoff_cap=backoff_cap,
+    )
     # Seed traces before arming: the plan aims at the run/queue write
     # paths, and a warm trace store keeps the check's wall-clock low.
-    trace_store = TraceStore(trace_root)
-    built = {trace.scenario.fingerprint(): trace for trace in prebuilt}
-    for scenario in scenarios:
-        trace = built.get(scenario.fingerprint())
-        if trace is None:
-            trace = ScenarioTrace.build(scenario, zoo)
-        trace_store.save(trace, zoo)
-
-    master = JobQueue(
-        queue_root,
-        lease_duration=lease_duration,
-        max_attempts=max_attempts,
-        backoff_base=backoff_base,
-        backoff_cap=backoff_cap,
-    )
-    jobs = [UnitJob(policy_spec=spec, scenario=s) for spec in specs for s in scenarios]
-    master.enqueue_all(jobs, engine_seed=engine_seed)
-    unique_jobs = {job_digest(j.policy_spec, j.key[1]): j for j in jobs}
-
-    for store_root in (queue_root, trace_root, run_root):
+    jobs = rig.enqueue(scenarios, specs, prebuilt, engine_seed)
+    for store_root in rig.roots:
         iolayer.reset_state(store_root)
-
     deadline = time.monotonic() + timeout
-    outcome = FsFaultOutcome(
-        job_count=len(unique_jobs),
-        expect_torn=any(
-            event.kind in ("partial_write", "lost_rename") for event in plan.events
-        ),
-    )
 
     # ------------------------------------------------------ phase 1: faulted
     iolayer.arm_fault_plan(plan)
     try:
-        faulted_fleet, _ = _drain_with_fleet(
-            queue_root, trace_root, run_root,
-            zoo=zoo, workers=workers, lease_duration=lease_duration,
-            max_attempts=max_attempts, backoff_base=backoff_base,
-            backoff_cap=backoff_cap, poll_interval=poll_interval,
-            # Leave headroom for recovery even if phase 1 wedges.
-            deadline=time.monotonic() + timeout * 0.6,
-            tag="fs",
+        # Leave headroom for recovery even if phase 1 wedges.
+        faulted_fleet, _, _ = rig.drain_threads(
+            workers, time.monotonic() + timeout * 0.6, "fs"
         )
     finally:
-        outcome.faults_fired = iolayer.disarm_fault_plan()
-    outcome.io_errors = sum(
-        iolayer.io_error_count(r) for r in (queue_root, trace_root, run_root)
-    )
-    outcome.degraded_refusals = sum(w.queue.degraded_refusals for w in faulted_fleet)
+        faults_fired = iolayer.disarm_fault_plan()
+    io_errors = sum(iolayer.io_error_count(r) for r in rig.roots)
 
     # ----------------------------------------------------- phase 2: recovery
-    for store_root in (queue_root, trace_root, run_root):
-        iolayer.probe(store_root)  # space returned: clear any degraded flag
-
-    audit_run_store = RunStore(run_root)
-    scrub_runs = audit_run_store.scrub()
-    scrub_traces = trace_store.scrub()
-    scrub_queue = master.scrub()
-    outcome.corrupt_quarantined += (
-        scrub_runs.quarantined + scrub_traces.quarantined + scrub_queue.quarantined
+    recovery = recover(
+        rig.master, jobs, rig.run_root, rig.trace_store, rig.zoo, engine_seed=engine_seed
     )
-    audit_run_store.repair()
-    trace_store.repair()
-    master.repair()
-
-    # Submitter idempotence: re-offering the whole set restores any job
-    # record a fault destroyed outright (enqueue is a no-op otherwise).
-    master.enqueue_all(jobs, engine_seed=engine_seed)
-
-    resolve = policy_resolver()
-    soc_fp = xavier_nx_with_oakd().fingerprint()
-    keys: dict[str, RunKey] = {}
-    for digest, job in unique_jobs.items():
-        policy = resolve(job.policy_spec)
-        try:
-            fingerprint = policy.fingerprint()
-        except NotImplementedError:
-            continue  # not committable; the queue dead-letters these loudly
-        keys[digest] = RunKey(
-            policy_name=policy.name,
-            policy_fingerprint=fingerprint,
-            scenario_fingerprint=job.key[1],
-            zoo_fingerprint=zoo.fingerprint(),
-            soc_fingerprint=soc_fp,
-            engine_seed=engine_seed,
-        )
-    outcome.expected_entries = len(keys)
-
-    # Re-pend every job marked done whose committed effect is torn or
-    # missing — the one case lease expiry cannot heal.  The load itself
-    # quarantines a torn entry it trips over (counted below).
-    for digest, key in keys.items():
-        if audit_run_store.load_metrics(key) is not None:
-            continue
-        outcome.healed_jobs += 1
-
-        def mutate(record: dict | None) -> dict | None:
-            if record is None or record.get("state") != "done":
-                return None
-            record["state"] = "pending"
-            record["lease"] = None
-            record["error"] = None
-            record["not_before"] = 0.0
-            return record
-
-        shards.update_entry(queue_root, digest, _job_file_name(digest), mutate)
-
-    healthy_fleet, timed_out = _drain_with_fleet(
-        queue_root, trace_root, run_root,
-        zoo=zoo, workers=workers, lease_duration=lease_duration,
-        max_attempts=max_attempts, backoff_base=backoff_base,
-        backoff_cap=backoff_cap, poll_interval=poll_interval,
-        deadline=deadline, tag="heal",
-    )
-    outcome.timed_out = timed_out
+    healthy_fleet, _, timed_out = rig.drain_threads(workers, deadline, "heal")
 
     # -------------------------------------------------------------- audit
-    outcome.queue_stats = master.stats()
-    states = {record["job_id"]: record["state"] for record in master.records()}
-    for digest in unique_jobs:
-        state = states.get(digest)
-        if state == "dead":
-            outcome.dead_jobs.append(digest[:12])
-        elif state != "done":
-            outcome.lost_jobs.append(f"{digest[:12]}={state}")
-
-    outcome.run_entries = len(audit_run_store)
+    outcome = FsFaultOutcome(
+        **vars(rig.audit(jobs, engine_seed)),
+        faults_fired=faults_fired,
+        expect_torn=any(
+            event.kind in ("partial_write", "lost_rename") for event in plan.events
+        ),
+        healed_jobs=recovery.repended,
+        degraded_refusals=sum(w.queue.degraded_refusals for w in faulted_fleet),
+        io_errors=io_errors,
+        still_degraded=[str(r) for r in rig.roots if iolayer.is_degraded(r)],
+    )
+    outcome.timed_out = timed_out
+    outcome.corrupt_quarantined += recovery.quarantined
     for worker in (*faulted_fleet, *healthy_fleet):
         outcome.corrupt_quarantined += worker.run_store.corrupt_entries
         if worker.trace_store is not None:
             outcome.corrupt_quarantined += worker.trace_store.corrupt_entries
-    outcome.corrupt_quarantined += audit_run_store.corrupt_entries
-
-    for store_root in (queue_root, trace_root, run_root):
-        if iolayer.is_degraded(store_root):
-            outcome.still_degraded.append(str(store_root))
-
-    for digest, key in keys.items():
-        job = unique_jobs[digest]
-        stored = audit_run_store.load(key)
-        label = f"{job.policy_spec}/{job.scenario.name}"
-        if stored is None:
-            outcome.serial_mismatches.append(f"{label}: no committed run")
-            continue
-        trace = trace_store.load(job.scenario, zoo)
-        serial = run_policy(
-            resolve(job.policy_spec), trace, engine_seed=engine_seed, fast=True
-        )
-        if stored.records != serial.records:
-            outcome.serial_mismatches.append(f"{label}: frame records diverge from serial")
-        elif audit_run_store.load_metrics(key) != aggregate(serial):
-            outcome.serial_mismatches.append(f"{label}: metrics diverge from serial")
-
-    for label, (_, problems) in (
-        ("runs", audit_run_store.audit()),
-        ("traces", trace_store.audit()),
-        ("queue", master.audit()),
-    ):
-        outcome.audit_problems.extend(f"{label}: {p}" for p in problems)
     return outcome

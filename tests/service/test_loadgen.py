@@ -69,3 +69,41 @@ def test_loadgen_detects_divergence(loadgen, tmp_path, capsys, monkeypatch):
     captured = capsys.readouterr()
     assert code == 1
     assert "diverges from serial run" in captured.err
+
+
+# The process and network modes at the smallest mix that still drains a
+# real queue: one scenario, one worker process, one-second leases.
+_SMALL_MODE_ARGS = [
+    "--requests", "2", "--procs", "1", "--budget", "24", "--scenario-count", "1",
+    "--lease", "1",
+]
+
+
+def test_http_mode_passes(loadgen, tmp_path, capsys):
+    code = loadgen.main(["--http", *_SMALL_MODE_ARGS,
+                         "--trace-store", str(tmp_path / "t"),
+                         "--run-store", str(tmp_path / "r")])
+    out = capsys.readouterr().out
+    assert code == 0, out
+    assert "http loadgen: all checks passed" in out
+    assert "admission probe: full server -> immediate 429" in out
+
+
+def test_chaos_mode_passes(loadgen, tmp_path, capsys):
+    code = loadgen.main(["--chaos", *_SMALL_MODE_ARGS,
+                         "--trace-store", str(tmp_path / "t"),
+                         "--run-store", str(tmp_path / "r")])
+    captured = capsys.readouterr()
+    assert code == 0, captured.out + captured.err
+    assert "chaos loadgen: all checks passed (3 workers killed" in captured.out
+    assert "warm re-serve: 0 runs, 0 trace builds" in captured.out
+
+
+def test_fs_chaos_mode_passes(loadgen, tmp_path, capsys):
+    code = loadgen.main(["--fs-chaos", *_SMALL_MODE_ARGS,
+                         "--trace-store", str(tmp_path / "t"),
+                         "--run-store", str(tmp_path / "r")])
+    captured = capsys.readouterr()
+    assert code == 0, captured.out + captured.err
+    assert "fs-chaos loadgen: all checks passed" in captured.out
+    assert "warm re-serve: 0 runs, 0 trace builds" in captured.out

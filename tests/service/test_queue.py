@@ -180,6 +180,32 @@ class TestLeases:
         assert lease is not None and lease.attempt == 1
         assert queue.complete(lease)
 
+    def test_repend_done_only_touches_done_records_and_logs_once(self, tmp_path, jobs):
+        clock = FakeClock()
+        queue = make_queue(tmp_path, clock)
+        queue.enqueue_all(jobs[:2])
+        done = queue.claim("w0")
+        assert queue.complete(done)
+        leased = queue.claim("w0")
+        clock.advance(1.0)
+        ids = [done.job_id, leased.job_id]
+        assert queue.repend_done(ids) == 1
+        states = {r["job_id"]: r for r in queue.records()}
+        assert states[done.job_id]["state"] == "pending"
+        assert states[leased.job_id]["state"] == "leased"
+        last = states[done.job_id]["history"][-1]
+        assert last["state"] == "pending" and last["at"] == clock.now
+        index = shards.read_index(shards.shard_dir(queue.root, done.job_id))
+        assert [meta["state"] for meta in index.values() if meta["job_id"] == done.job_id] == [
+            "pending"
+        ]
+        # Idempotent: the re-pended record is no longer done.
+        assert queue.repend_done(ids) == 0
+        assert len(next(
+            r for r in queue.records() if r["job_id"] == done.job_id
+        )["history"]) == len(states[done.job_id]["history"])
+        assert queue.claim("w1").job_id == done.job_id
+
     def test_expire_overdue_sweeps_without_claiming(self, tmp_path, jobs):
         clock = FakeClock()
         queue = make_queue(tmp_path, clock)
